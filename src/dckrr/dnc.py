@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from dckrr.solver import MachineFit, Subsample, krr_fit, predict
+from dckrr.solver import MachineFit, Subsample, _predictions, krr_fit
 from dckrr.spectra import Spectrum, feature_matrix, null_basis
 
 __all__ = [
@@ -156,11 +156,12 @@ def fit_all(
 
 
 def predict_bar(est: DncEstimate, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Evaluate the averaged estimate at new points (ordered fold)."""
-    X = np.asarray(X, dtype=np.float64)
-    acc = predict(est.spec, est.fits[0], X).astype(np.float64)
-    for f in est.fits[1:]:
-        acc += predict(est.spec, f, X)
+    """Evaluate the averaged estimate at new points (ordered fold over the
+    machines, with the basis at ``X`` evaluated once)."""
+    values = _predictions(est.spec, est.fits, X)
+    acc = next(values).astype(np.float64)
+    for v in values:
+        acc += v
     return acc / est.s
 
 

@@ -29,7 +29,7 @@ from numpy.typing import NDArray
 
 from dckrr import dnc, rates
 from dckrr.inference import estimate_sigma2, test_statistic
-from dckrr.solver import krr_fit  # noqa: F401  (re-exported for pipelines)
+from dckrr.solver import SOLVE_PATHS
 from dckrr.spectra import (
     SMOOTHING_SPLINE_ORDERS,
     Spectrum,
@@ -99,6 +99,20 @@ class SweepConfig:
             raise ValueError("explicit lambda_source requires a positive lambda_value")
         if self.sigma2_mode not in ("known", "plugin"):
             raise ValueError("sigma2_mode must be 'known' or 'plugin'")
+        if self.solve_path not in SOLVE_PATHS:
+            raise ValueError(f"solve_path must be one of {SOLVE_PATHS}, got {self.solve_path!r}")
+        if self.grid_size is not None and (
+            not isinstance(self.grid_size, (int, np.integer))
+            or isinstance(self.grid_size, bool)
+            or self.grid_size < 2
+        ):
+            raise ValueError(f"grid_size must be an integer >= 2, got {self.grid_size!r}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.model == "spline1d" and self.m not in SMOOTHING_SPLINE_ORDERS:
             raise ValueError(
                 f"m={self.m} is not supported for spline1d: its W^m[0,1] "

@@ -12,6 +12,7 @@ Two solve paths produce the same estimate (on the truncated kernel):
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,9 @@ from numpy.typing import NDArray
 
 from dckrr.spectra import Spectrum, feature_matrix, gram_R, null_basis
 
-__all__ = ["Subsample", "MachineFit", "krr_fit", "predict", "smoother_trace"]
+__all__ = ["SOLVE_PATHS", "Subsample", "MachineFit", "krr_fit", "predict", "smoother_trace"]
+
+SOLVE_PATHS = ("exact_gram", "truncated_feature")
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,34 @@ def krr_fit(spec: Spectrum, sub: Subsample, lam: float, solve_path: str = "exact
 
 def predict(spec: Spectrum, fit: MachineFit, X: NDArray[np.float64]) -> NDArray[np.float64]:
     """Evaluate a fitted machine at new points."""
+    return next(_predictions(spec, (fit,), X))
+
+
+def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArray[np.float64]]:
+    """Each fit's values at ``X``, in order, with the basis at ``X`` evaluated once.
+
+    Only the scaled basis a solve path multiplies by is built, on first use
+    and in place: ``phi * sqrt(mu)`` for ``truncated_feature`` and
+    ``phi * mu`` (the left factor of :func:`~dckrr.spectra.gram_R`) for
+    ``exact_gram``. Each fit's values are bit-identical to evaluating it
+    alone. Gaussian fits use the closed-form ``gram_R``.
+    """
     X = np.asarray(X, dtype=np.float64)
-    null = null_basis(spec, X) @ fit.beta
-    if fit.solve_path == "exact_gram":
-        return null + gram_R(spec, X, fit.anchors) @ fit.alpha
-    psi = feature_matrix(spec, X) * np.sqrt(spec.eigenvalues)
-    return null + psi @ fit.theta
+    null = null_basis(spec, X)
+    scaled = {}  # solve path -> scaled basis at X
+    for fit in fits:
+        if spec.family == "gaussian_rkhs":
+            yield null @ fit.beta + gram_R(spec, X, fit.anchors) @ fit.alpha
+            continue
+        if fit.solve_path not in scaled:
+            F = feature_matrix(spec, X)
+            F *= spec.eigenvalues if fit.solve_path == "exact_gram" else np.sqrt(spec.eigenvalues)
+            scaled[fit.solve_path] = F
+        if fit.solve_path == "exact_gram":
+            R = scaled[fit.solve_path] @ feature_matrix(spec, fit.anchors).T
+            yield null @ fit.beta + R @ fit.alpha
+        else:
+            yield null @ fit.beta + scaled[fit.solve_path] @ fit.theta
 
 
 def smoother_trace(spec: Spectrum, sub: Subsample, lam: float) -> float:

@@ -18,6 +18,7 @@ eigenvalue array, each contributes exactly 1 to each spectral sum and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,8 +194,10 @@ def periodic_sobolev(m: int, M: int = M_DEFAULT) -> Spectrum:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _beam_roots(K: int) -> NDArray[np.float64]:
-    """The first ``K`` positive roots of ``cos(b) cosh(b) = 1``.
+    """The first ``K`` positive roots of ``cos(b) cosh(b) = 1`` (read-only,
+    computed once per ``K``).
 
     Newton's method on the overflow-free form ``cos(b) - sech(b) = 0``,
     started from ``(k + 1/2) pi``; there ``|d/db| ~ 1`` and the correction is
@@ -206,6 +209,7 @@ def _beam_roots(K: int) -> NDArray[np.float64]:
         sech = 2.0 * e / (1.0 + e * e)
         tanh = (1.0 - e * e) / (1.0 + e * e)
         b = b - (np.cos(b) - sech) / (-np.sin(b) + sech * tanh)
+    b.flags.writeable = False
     return b
 
 
@@ -288,9 +292,7 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
     if d < 1:
         raise ValueError("d must be a positive integer")
     if M is None:
-        M = max(M_DEFAULT, 2 * d) if (max(M_DEFAULT, 2 * d) % (2 * d) == 0) else (
-            ((max(M_DEFAULT, 2 * d) // (2 * d)) + 1) * 2 * d
-        )
+        M = math.ceil(M_DEFAULT / (2 * d)) * 2 * d
     if M % (2 * d):
         raise ValueError("M must be a multiple of 2*d")
     if M > M_CAP:
@@ -376,12 +378,18 @@ def _require_eigenfunctions(spec: Spectrum) -> None:
         raise ValueError(f"{spec.family} spectrum does not expose eigenfunctions")
 
 
-def _periodic_phi(p: NDArray[np.int64], x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """phi_p(x) for the 1-d periodic family, p >= 1, vectorized over both."""
-    k = (p + 1) // 2
-    ang = 2.0 * np.pi * np.multiply.outer(x, k)
-    out = np.where(p % 2 == 1, np.sin(ang), np.cos(ang))
-    return math.sqrt(2.0) * out
+def _periodic_phi(M: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """phi_1 .. phi_M of the 1-d periodic family at the points ``x``.
+
+    Column ``2k - 2`` holds ``sqrt(2) sin(2 pi k x)`` and column ``2k - 1``
+    holds ``sqrt(2) cos(2 pi k x)``; sin and cos are each computed only for
+    their own columns.
+    """
+    out = np.empty((x.shape[0], M))
+    out[:, 0::2] = np.sin(2.0 * np.pi * np.multiply.outer(x, np.arange(1, (M + 1) // 2 + 1)))
+    out[:, 1::2] = np.cos(2.0 * np.pi * np.multiply.outer(x, np.arange(1, M // 2 + 1)))
+    out *= math.sqrt(2.0)
+    return out
 
 
 def _spline_phi(m: int, b: NDArray[np.float64], x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -446,7 +454,7 @@ def eval_eigenfunction(spec: Spectrum, nu: int, x: NDArray[np.float64]) -> NDArr
     if spec.family == "periodic_sobolev":
         if not 1 <= nu <= spec.M:
             raise ValueError(f"nu must be in 0..{spec.M}")
-        return _periodic_phi(np.array([nu]), x.reshape(-1))[:, 0].reshape(x.shape)
+        return _periodic_phi(nu, x.reshape(-1))[:, nu - 1].reshape(x.shape)
     if spec.family == "smoothing_spline":
         if not 1 <= nu <= spec.M:
             raise ValueError(f"nu must be in 0..{spec.M}")
@@ -459,7 +467,7 @@ def eval_eigenfunction(spec: Spectrum, nu: int, x: NDArray[np.float64]) -> NDArr
         k = nu % spec.d or spec.d
         p = (nu - k) // spec.d
         pts = np.atleast_2d(x)
-        vals = _periodic_phi(np.array([p]), pts[:, k - 1])[:, 0]
+        vals = _periodic_phi(p, pts[:, k - 1])[:, p - 1]
         return vals.reshape(x.shape[:-1]) if x.ndim > 1 else vals
     if spec.family == "gaussian_rkhs":
         if not 1 <= nu <= spec.M:
@@ -479,7 +487,7 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64
     X = np.asarray(X, dtype=np.float64)
     if spec.family == "periodic_sobolev":
         x = X.reshape(-1) if X.ndim == 1 else X[:, 0]
-        return _periodic_phi(np.arange(1, spec.M + 1), x)
+        return _periodic_phi(spec.M, x)
     if spec.family == "smoothing_spline":
         x = X.reshape(-1) if X.ndim == 1 else X[:, 0]
         return _spline_phi(spec.m, _spline_freqs(spec.m, spec.M), x)
@@ -488,7 +496,7 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64
         per_comp = spec.M // spec.d
         out = np.empty((pts.shape[0], spec.M))
         for k in range(spec.d):
-            out[:, k :: spec.d] = _periodic_phi(np.arange(1, per_comp + 1), pts[:, k])
+            out[:, k :: spec.d] = _periodic_phi(per_comp, pts[:, k])
         return out
     if spec.family == "gaussian_rkhs":
         x = X.reshape(-1)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -89,6 +90,26 @@ class TestSweepCommand:
     def test_invalid_values_are_config_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, rho_list=[1.5])
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("field, value, model", [
+        ("solve_path", "bogus", "spline1d"),
+        ("grid_size", "64", "spline1d"),
+        ("grid_size", 64.5, "spline1d"),
+        ("base_seed", -1, "spline1d"),
+        ("workers", 0, "spline1d"),
+        ("m", 0, "spline1d"),
+        ("m", 0, "additive2d"),
+    ])
+    def test_bad_field_fails_fast_naming_it(self, tmp_path, monkeypatch, capsys, field, value, model):
+        def never(cfg):
+            raise AssertionError("the experiment ran on an invalid config")
+
+        monkeypatch.setattr(simlab, "run_sweep", never)
+        cfg = _write_config(tmp_path, model=model, **{field: value})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and re.search(rf"\b{field}\b", err)
+        assert not (tmp_path / "out").exists()
 
     def test_experiment_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dckrr import solver
 from dckrr.dnc import (
     Dataset,
     DncEstimate,
@@ -14,7 +15,15 @@ from dckrr.dnc import (
     xi_diagnostic,
 )
 from dckrr.solver import krr_fit, predict
-from dckrr.spectra import feature_matrix, null_basis, periodic_sobolev, smoothing_spline
+from dckrr.spectra import (
+    additive,
+    feature_matrix,
+    gaussian_rkhs,
+    gram_R,
+    null_basis,
+    periodic_sobolev,
+    smoothing_spline,
+)
 
 
 def _dataset(n, seed=0):
@@ -127,6 +136,65 @@ class TestFitAll:
         grid = np.linspace(0, 1, 25)
         series = null_basis(spec, grid) @ est.beta + feature_matrix(spec, grid) @ est.coeffs
         np.testing.assert_allclose(series, predict_bar(est, grid), atol=1e-10)
+
+
+def _lone_predict(spec, fit, X):
+    """One machine evaluated on its own: the reference form of ``predict``,
+    with the basis at ``X`` built for this machine alone."""
+    null = null_basis(spec, X) @ fit.beta
+    if fit.solve_path == "exact_gram":
+        return null + gram_R(spec, X, fit.anchors) @ fit.alpha
+    psi = feature_matrix(spec, X) * np.sqrt(spec.eigenvalues)
+    return null + psi @ fit.theta
+
+
+PREDICT_BAR_CASES = {
+    "smoothing_spline-truncated_feature": (lambda: smoothing_spline(2, M=64), 1, "truncated_feature"),
+    "periodic_sobolev-exact_gram": (lambda: periodic_sobolev(2, M=32), 1, "exact_gram"),
+    "additive_d2-exact_gram": (lambda: additive(2, 2, M=40), 2, "exact_gram"),
+    "gaussian_rkhs": (lambda: gaussian_rkhs(1, 1.0, M=16), 1, "exact_gram"),
+}
+
+
+class TestPredictBar:
+    @staticmethod
+    def _fit(case, s=6, n_per=9):
+        make_spec, d, path = PREDICT_BAR_CASES[case]
+        rng = np.random.default_rng(17)
+        N = s * n_per
+        xs = rng.uniform(size=(N, d)) if d > 1 else rng.uniform(size=N)
+        ys = np.sin(3.0 * (xs if d == 1 else xs[:, 0])) + rng.standard_normal(N)
+        data = Dataset(xs=xs, ys=ys)
+        spec = make_spec()
+        est = fit_all(spec, data, partition(data, s, seed=4), lam=1e-3, solve_path=path)
+        grid = rng.uniform(size=(33, d)) if d > 1 else np.linspace(0, 1, 33)
+        return spec, est, grid
+
+    @pytest.mark.parametrize("case", list(PREDICT_BAR_CASES))
+    def test_equals_ordered_fold_of_lone_predictions(self, case):
+        spec, est, grid = self._fit(case)
+        assert np.array_equal(
+            predict_bar(est, grid), sum(predict(spec, f, grid) for f in est.fits) / est.s
+        )
+        assert np.array_equal(
+            predict_bar(est, grid), sum(_lone_predict(spec, f, grid) for f in est.fits) / est.s
+        )
+        for f in est.fits:
+            assert np.array_equal(predict(spec, f, grid), _lone_predict(spec, f, grid))
+
+    @pytest.mark.parametrize("case", ["smoothing_spline-truncated_feature", "periodic_sobolev-exact_gram"])
+    def test_evaluates_the_basis_at_X_once(self, case, monkeypatch):
+        spec, est, grid = self._fit(case)
+        assert est.s == 6
+        seen = []
+
+        def counting(spec_, X):
+            seen.append(np.asarray(X))
+            return feature_matrix(spec_, X)
+
+        monkeypatch.setattr(solver, "feature_matrix", counting)
+        predict_bar(est, grid)
+        assert sum(X.shape == grid.shape and np.array_equal(X, grid) for X in seen) == 1
 
 
 class TestXiDiagnostic:

@@ -30,6 +30,7 @@ from dckrr.spectra import (
     thin_plate,
     truncation_level,
 )
+from dckrr.spectra import _beam_roots
 
 RNG = np.random.default_rng(1234)
 
@@ -124,6 +125,22 @@ class TestEigenfunctions:
         phi = feature_matrix(spec, x)
         for nu in range(1, 17):
             np.testing.assert_allclose(phi[:, nu - 1], eval_eigenfunction(spec, nu, x), rtol=1e-12)
+
+    @pytest.mark.parametrize("spec", [periodic_sobolev(2, M=64), additive(2, 2, M=64)],
+                             ids=["periodic", "additive"])
+    def test_periodic_features_equal_the_where_form(self, spec):
+        # sin and cos are each computed only for their own columns; the
+        # values equal both full matrices merged by np.where
+        def where_form(p, x):
+            ang = 2.0 * np.pi * np.multiply.outer(x, (p + 1) // 2)
+            return math.sqrt(2.0) * np.where(p % 2 == 1, np.sin(ang), np.cos(ang))
+
+        pts = RNG.uniform(size=(257, spec.d))
+        ref = np.empty((257, spec.M))
+        for k in range(spec.d):
+            ref[:, k :: spec.d] = where_form(np.arange(1, spec.M // spec.d + 1), pts[:, k])
+        X = pts[:, 0] if spec.d == 1 else pts
+        assert np.array_equal(feature_matrix(spec, X), ref)
 
     def test_gaussian_hermite_orthogonal(self):
         # the Hermite system is orthogonal on R with a constant L2 norm
@@ -326,6 +343,14 @@ class TestSmoothingSpline:
         # far out the roots sit at (k + 1/2) pi to double precision
         far = smoothing_spline(2, M=400).eigenvalues[-1]
         assert far == pytest.approx((400.5 * math.pi) ** -4.0, rel=1e-14)
+
+    def test_beam_roots_are_computed_once_and_read_only(self):
+        roots = _beam_roots(16)
+        assert _beam_roots(16) is roots
+        assert not roots.flags.writeable
+        with pytest.raises(ValueError):
+            roots[0] = 0.0
+        assert np.array_equal(smoothing_spline(2, M=16).eigenvalues, roots**-4.0)
 
     def test_m1_cosine_basis(self):
         spec = smoothing_spline(1, M=6)
