@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from dckrr.dnc import Dataset, DncEstimate, Partition, predict_bar, subsample_for
+from dckrr.dnc import Dataset, DncEstimate, Partition, subsample_for
 from dckrr.solver import predict, smoother_trace
 from dckrr.spectra import Spectrum, gram_R, spectral_sums
 
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 QUAD_POINTS = 4096
+GRAM_BLOCK_ENTRIES = 2**18  # 2 MB of float64 per block of a Gaussian gram
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,26 @@ def _quad_grid(d: int, points_per_axis: int) -> NDArray[np.float64]:
     return np.column_stack([g.reshape(-1) for g in grids])
 
 
+def _gram_apply(spec: Spectrum, X: NDArray[np.float64], A: NDArray[np.float64],
+                w: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``gram_R(spec, X, A) @ w``, built in row blocks of at most
+    ``GRAM_BLOCK_ENTRIES`` kernel values."""
+    rows = max(1, GRAM_BLOCK_ENTRIES // A.shape[0])
+    return np.concatenate([
+        gram_R(spec, X[i : i + rows], A) @ w for i in range(0, X.shape[0], rows)
+    ])
+
+
 def norm_breakdown(est: DncEstimate) -> NormBreakdown:
     """Split ``|f_bar|^2`` into its ``V`` and RKHS parts.
 
-    Uses Mercer coefficients when eigenfunctions are available; otherwise
-    (Gaussian kernel) falls back to midpoint quadrature on the unit cube for
-    the ``V`` part and the representer gram form for the RKHS part.
+    Uses Mercer coefficients when eigenfunctions are available. Otherwise
+    (Gaussian kernel, no null space) ``f_bar = sum_i w_i R(a_i, .)`` over the
+    concatenated anchors ``a`` of all machines, with ``w = concat(alpha_j) / s``:
+    the ``V`` part is the midpoint-quadrature mean of ``f_bar^2`` on the unit
+    cube and the RKHS part the quadratic form ``w' R(a, a) w``, each gram
+    applied in row blocks so that no more than ``GRAM_BLOCK_ENTRIES`` kernel
+    values are held at once.
     """
     spec, lam = est.spec, est.lam
     if est.coeffs is not None:
@@ -97,14 +112,11 @@ def norm_breakdown(est: DncEstimate) -> NormBreakdown:
         return NormBreakdown(v_part=v, h_part=h, lam=lam)
     per_axis = QUAD_POINTS if spec.d == 1 else max(2, round(QUAD_POINTS ** (1.0 / spec.d)))
     grid = _quad_grid(spec.d, per_axis)
-    vals = predict_bar(est, grid)
-    v = float(np.mean(vals**2))
-    s = est.s
-    h = 0.0
-    for j, fj in enumerate(est.fits):
-        for l, fl in enumerate(est.fits):
-            h += float(fj.alpha @ gram_R(spec, fj.anchors, fl.anchors) @ fl.alpha)
-    return NormBreakdown(v_part=v, h_part=h / s**2, lam=lam)
+    anchors = np.concatenate([f.anchors for f in est.fits])
+    w = np.concatenate([f.alpha for f in est.fits]) / est.s
+    v = float(np.mean(_gram_apply(spec, grid, anchors, w) ** 2))
+    h = float(w @ _gram_apply(spec, anchors, anchors, w))
+    return NormBreakdown(v_part=v, h_part=h, lam=lam)
 
 
 def test_statistic(

@@ -241,9 +241,12 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     """Run the full (N, rho) grid.
 
     Per cell: ``s = max(1, round(N^rho))`` (half-up), ``n = floor(N/s)``;
-    replication ``r`` uses seed ``base_seed + r``. Replication failures are
+    replication ``r`` uses seed ``base_seed + r``. Replication failures
+    (``ArithmeticError``, ``ValueError`` or ``RuntimeError``, which cover
+    ``LinAlgError`` and :class:`~dckrr.spectra.TruncationError`) are
     recorded; a cell with more than 10% failures raises
-    :class:`SweepError`. Aggregation is an ordered fold over the
+    :class:`SweepError`. Any other exception is a programming error and
+    propagates. Aggregation is an ordered fold over the
     replication index, so the result is identical for any worker count.
     """
     cells = []
@@ -259,8 +262,8 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
             def one(seed, _N=N, _s=s, _lam=lam, _spec=spec):
                 try:
                     return _run_replication(cfg, _N, _s, _lam, _spec, seed)
-                except Exception as exc:  # recorded, not fatal
-                    return exc
+                except (ArithmeticError, ValueError, RuntimeError) as exc:
+                    return exc  # a numerical failure: recorded, not fatal
 
             if cfg.workers > 1:
                 with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

@@ -19,7 +19,9 @@ eigenvalue array, each contributes exactly 1 to each spectral sum and
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -415,8 +417,9 @@ def _spline_phi(m: int, b: NDArray[np.float64], x: NDArray[np.float64]) -> NDArr
     )
 
 
-def _hermite_phi(nu: int, x: NDArray[np.float64], scale: float) -> NDArray[np.float64]:
-    """Gaussian-kernel eigenfunctions on R via the Hermite recurrence (d=1).
+def _hermite_psis(x: NDArray[np.float64], scale: float) -> Iterator[NDArray[np.float64]]:
+    """Gaussian-kernel eigenfunctions on R via the Hermite recurrence (d=1):
+    yields ``phi_1, phi_2, ...`` at the points ``x``, one recurrence step each.
 
     ``phi_nu(x) = (a/pi)^(1/4) / sqrt(2^(nu-1) (nu-1)!) * H_{nu-1}(sqrt(2a) x)
     * exp(-a x^2)`` with the recurrence ``H_j = 2 t H_{j-1} - 2 (j-1) H_{j-2}``,
@@ -429,9 +432,15 @@ def _hermite_phi(nu: int, x: NDArray[np.float64], scale: float) -> NDArray[np.fl
     #                                              - sqrt((j-1)/j)*psi_{j-2}
     psi_prev = np.zeros_like(t)
     psi = env.copy()
-    for j in range(1, nu):
+    yield psi
+    for j in itertools.count(1):
         psi, psi_prev = t * math.sqrt(2.0 / j) * psi - math.sqrt((j - 1) / j) * psi_prev, psi
-    return psi
+        yield psi
+
+
+def _hermite_phi(nu: int, x: NDArray[np.float64], scale: float) -> NDArray[np.float64]:
+    """``phi_nu`` of :func:`_hermite_psis` alone."""
+    return next(itertools.islice(_hermite_psis(x, scale), nu - 1, None))
 
 
 def eval_eigenfunction(spec: Spectrum, nu: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -500,7 +509,7 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64
         return out
     if spec.family == "gaussian_rkhs":
         x = X.reshape(-1)
-        return np.column_stack([_hermite_phi(nu, x, spec.scale) for nu in range(1, spec.M + 1)])
+        return np.column_stack(list(itertools.islice(_hermite_psis(x, spec.scale), spec.M)))
     raise AssertionError("unreachable")
 
 
@@ -529,12 +538,24 @@ def _as_points(X, d: int) -> NDArray[np.float64]:
 
 
 def gram_R(spec: Spectrum, X: NDArray[np.float64], Y: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Cross-gram matrix of the reproducing kernel ``R``."""
+    """Cross-gram matrix of the reproducing kernel ``R``.
+
+    The Gaussian kernel is built in one ``(n, m)`` array: the squared
+    distance is accumulated coordinate by coordinate in place, then scaled
+    and exponentiated in place. These are the float operations, in the same
+    order, of ``exp(-scale * ((X[:, None] - Y[None]) ** 2).sum(-1))``.
+    """
     if spec.family == "gaussian_rkhs":
         Xa = _as_points(X, spec.d)
         Ya = _as_points(Y, spec.d)
-        sq = ((Xa[:, None, :] - Ya[None, :, :]) ** 2).sum(axis=-1)
-        return np.exp(-spec.scale * sq)
+        out = np.subtract.outer(Xa[:, 0], Ya[:, 0])
+        out *= out
+        for k in range(1, spec.d):
+            diff = np.subtract.outer(Xa[:, k], Ya[:, k])
+            diff *= diff
+            out += diff
+        out *= -spec.scale
+        return np.exp(out, out=out)
     if spec.family == "thin_plate":
         raise ValueError("thin_plate spectrum has no kernel evaluator")
     Fx = feature_matrix(spec, np.asarray(X, dtype=np.float64))

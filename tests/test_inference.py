@@ -1,14 +1,17 @@
 """Unit tests for inference: norm accounting, the Wald test, and the normal CDF inverse."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 
-from dckrr.dnc import Dataset, fit_all, partition
+from dckrr.dnc import Dataset, fit_all, partition, predict_bar
 from dckrr.inference import (
+    QUAD_POINTS,
     NormBreakdown,
+    _quad_grid,
     estimate_sigma2,
     inverse_normal_cdf,
     norm_breakdown,
@@ -64,7 +67,6 @@ class TestNormBreakdown:
         nb = norm_breakdown(est)
         # quadrature oracle for the L2 part
         grid = (np.arange(8192) + 0.5) / 8192
-        from dckrr.dnc import predict_bar
 
         fbar = predict_bar(est, grid)
         v_quad = float(np.mean(fbar**2))
@@ -79,7 +81,6 @@ class TestNormBreakdown:
         spec = smoothing_spline(2, M=128)
         part = partition(data, s=3, seed=8)
         est = fit_all(spec, data, part, lam=1e-4, solve_path="exact_gram")
-        from dckrr.dnc import predict_bar
 
         x, w = np.polynomial.legendre.leggauss(400)
         fbar = predict_bar(est, 0.5 * (x + 1.0))
@@ -87,19 +88,21 @@ class TestNormBreakdown:
         assert nb.v_part == pytest.approx(float(0.5 * w @ fbar**2), rel=1e-10)
         assert nb.v_part > float(np.sum(est.coeffs**2)) + est.c0**2  # the slope counts
 
-    def test_gram_route_gaussian(self):
+    @pytest.mark.parametrize("s,d", [(2, 1), (8, 1), (8, 2)], ids=["s2-d1", "s8-d1", "s8-d2"])
+    def test_gram_route_gaussian(self, s, d):
         # the Gaussian family has no feature path; norms come from cross-grams
         rng = np.random.default_rng(4)
         n = 60
-        xs = rng.uniform(size=n)
-        ys = np.sin(2 * xs) + 0.2 * rng.standard_normal(n)
+        xs = rng.uniform(size=n if d == 1 else (n, d))
+        x0 = xs if d == 1 else xs[:, 0]
+        ys = np.sin(2 * x0) + 0.2 * rng.standard_normal(n)
         data = Dataset(xs=xs, ys=ys)
-        spec = gaussian_rkhs(1, scale=1.0)
-        part = partition(data, s=2, seed=4)
+        spec = gaussian_rkhs(d, scale=1.0)
+        part = partition(data, s=s, seed=4)
         est = fit_all(spec, data, part, lam=1e-2, solve_path="exact_gram")
         nb = norm_breakdown(est)
         # oracle: H-part = (1/s^2) sum_{j,l} alpha_j' R(X_j, X_l) alpha_l
-        s = len(est.fits)
+        assert len(est.fits) == s
         h = 0.0
         for j in range(s):
             for l in range(s):
@@ -109,7 +112,29 @@ class TestNormBreakdown:
                     @ est.fits[l].alpha
                 )
         assert nb.h_part == pytest.approx(h / s**2, rel=1e-10)
+        # oracle: V-part = midpoint-quadrature mean of predict_bar^2
+        per_axis = QUAD_POINTS if d == 1 else round(QUAD_POINTS ** (1.0 / d))
+        fbar = predict_bar(est, _quad_grid(d, per_axis))
+        assert nb.v_part == pytest.approx(float(np.mean(fbar**2)), rel=1e-10)
         assert nb.v_part > 0
+
+    def test_gaussian_route_holds_one_gram_block_at_a_time(self):
+        # s=64 machines of n=64: the full 4096 x 4096 gram would take 134 MB
+        # and one 4096 x 64 machine block 2 MB; a row block holds at most
+        # GRAM_BLOCK_ENTRIES (2 MB of) kernel values
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(size=4096)
+        data = Dataset(xs=xs, ys=np.sin(1.5 * np.pi * xs) + rng.standard_normal(4096))
+        spec = gaussian_rkhs(1)
+        part = partition(data, s=64, seed=5)
+        est = fit_all(spec, data, part, lam=5e-3, solve_path="exact_gram")
+        tracemalloc.start()
+        try:
+            norm_breakdown(est)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_zero_function_gives_zero_norms(self):
         spec = periodic_sobolev(2, M=16)

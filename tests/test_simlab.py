@@ -208,6 +208,17 @@ class TestRunSweep:
         assert result.cells[0].failures == 1
         assert result.cells[0].reps == 19
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_programming_errors_propagate(self, monkeypatch, workers):
+        # only numerical failures are counted; a bug is raised, not absorbed
+        def buggy(cfg, N, s, lam, spec, seed):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(simlab, "_run_replication", buggy)
+        cfg = SweepConfig(N_list=(64,), rho_list=(0.3,), replications=4, workers=workers)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_sweep(cfg)
+
     def test_plugin_sigma2_runs(self):
         cfg = SweepConfig(
             N_list=(128,), rho_list=(0.3,), replications=2,

@@ -30,7 +30,7 @@ from dckrr.spectra import (
     thin_plate,
     truncation_level,
 )
-from dckrr.spectra import _beam_roots
+from dckrr.spectra import _beam_roots, _hermite_phi
 
 RNG = np.random.default_rng(1234)
 
@@ -154,6 +154,25 @@ class TestEigenfunctions:
         diag = np.diag(G)
         np.testing.assert_allclose(diag, diag[0], rtol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.35])
+    def test_gaussian_features_from_one_hermite_pass(self, scale):
+        # one pass of the recurrence collects phi_1..phi_M; every column
+        # equals its own restarted recurrence and a copy of the old loop
+        def restarted(nu, x):
+            t = np.sqrt(2.0 * scale) * x
+            psi_prev = np.zeros_like(t)
+            psi = (scale / np.pi) ** 0.25 * np.exp(-scale * x * x)
+            for j in range(1, nu):
+                psi, psi_prev = t * math.sqrt(2.0 / j) * psi - math.sqrt((j - 1) / j) * psi_prev, psi
+            return psi
+
+        spec = gaussian_rkhs(1, scale, M=64)
+        x = RNG.uniform(-2.0, 2.0, size=301)
+        phi = feature_matrix(spec, x)
+        assert phi.shape == (301, 64)
+        assert np.array_equal(phi, np.column_stack([_hermite_phi(nu, x, scale) for nu in range(1, 65)]))
+        assert np.array_equal(phi, np.column_stack([restarted(nu, x) for nu in range(1, 65)]))
+
     def test_thin_plate_has_no_eigenfunctions(self):
         spec = thin_plate(2, 2)
         with pytest.raises(ValueError):
@@ -177,6 +196,20 @@ class TestKernels:
         y = np.array([0.7, 0.1])
         expected = math.exp(-1.5 * float(np.sum((x - y) ** 2)))
         assert eval_kernel_R(spec, x, y) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("d,scale", [(1, 1.0), (2, 1.0), (3, 1.0), (2, 2.7), (3, 0.4)])
+    def test_gaussian_gram_equals_the_broadcast_form(self, d, scale):
+        # built in place, coordinate by coordinate, with the float operations
+        # of the broadcast formula in the same order
+        spec = gaussian_rkhs(d, scale=scale)
+        X = RNG.uniform(-1.0, 2.0, size=(37, d))
+        Y = RNG.uniform(size=(53, d))
+        ref = np.exp(-scale * ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1))
+        G = gram_R(spec, X, Y)
+        assert G.shape == (37, 53)
+        assert np.array_equal(G, ref)
+        if d == 1:
+            assert np.array_equal(gram_R(spec, X[:, 0], Y[:, 0]), ref)
 
     def test_periodic_R_is_shift_invariant_sum(self):
         spec = periodic_sobolev(2, M=64)
