@@ -117,9 +117,29 @@ def _load_config(args) -> dict:
     return cfg
 
 
+# The keys a sweep config may hold, at the top level and in each section.
+SWEEP_KEYS = {
+    "": ("model", "c", "N_list", "rho_list", "replications", "alpha", "lambda", "sigma2",
+         "base_seed", "solve_path", "workers", "m", "grid_size"),
+    "lambda.": ("source", "task", "value"),
+    "sigma2.": ("mode", "value"),
+}
+
+
+def _known_keys(section, prefix: str) -> dict:
+    """``section``, checked to be a JSON object holding only known keys."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
+    unknown = sorted(set(section) - set(SWEEP_KEYS[prefix]))
+    if unknown:
+        raise ConfigError("unknown config key " + ", ".join(repr(prefix + k) for k in unknown))
+    return section
+
+
 def _sweep_config(cfg: dict) -> simlab.SweepConfig:
-    lam = cfg.get("lambda", {"source": "rates", "task": "testing"})
-    sig = cfg.get("sigma2", {"mode": "known", "value": 1.0})
+    cfg = _known_keys(cfg, "")
+    lam = _known_keys(cfg.get("lambda", {"source": "rates", "task": "testing"}), "lambda.")
+    sig = _known_keys(cfg.get("sigma2", {"mode": "known", "value": 1.0}), "sigma2.")
     try:
         return simlab.SweepConfig(
             model=cfg.get("model", "spline1d"),
@@ -212,7 +232,7 @@ def _diag_spectrum(cfg: dict, lam_grid: list[float]):
         M = int(cfg["M"])
     elif fam in ("spline", "periodic_sobolev", "additive"):
         # resolve the finest lambda in the grid
-        M = truncation_level(m, min(lam_grid), rates.leading_eigenvalue("spline", m), d)
+        M = truncation_level(m, min(lam_grid), d)
     else:
         M = 64
     if fam in ("spline", "periodic_sobolev"):

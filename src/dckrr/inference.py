@@ -156,11 +156,10 @@ def estimate_sigma2(est: DncEstimate, data: Dataset, part: Partition) -> float:
 
     ``sigma2_hat = sum_j RSS_j / sum_j (n - df_j)`` with per-machine degrees
     of freedom ``df_j = trace of the ridge smoother`` (plus one for each
-    unpenalized null-space function). Requires ``exact_gram`` fits.
+    unpenalized null-space function). Both solve paths fit the same
+    estimator, so either path's fits serve.
     """
     spec, lam = est.spec, est.lam
-    if any(f.solve_path != "exact_gram" for f in est.fits):
-        raise ValueError("estimate_sigma2 requires exact_gram fits")
     rss = 0.0
     dof = 0.0
     extra = float(spec.null_dim)

@@ -207,8 +207,7 @@ def mse_of_estimate(
 def _spectrum_for(cfg: SweepConfig, lam: float) -> Spectrum:
     if cfg.model == "spline1d":
         return smoothing_spline(cfg.m, M=smoothing_spline_level(cfg.m, lam))
-    M = truncation_level(cfg.m, lam, rates.leading_eigenvalue(cfg.family, cfg.m), cfg.d)
-    return additive(cfg.m, d=2, M=M)
+    return additive(cfg.m, d=2, M=truncation_level(cfg.m, lam, cfg.d))
 
 
 def _cell_lambda(cfg: SweepConfig, n: int) -> float:

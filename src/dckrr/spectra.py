@@ -143,33 +143,34 @@ def _pair_eigenvalues(m: int, n_pairs: int) -> NDArray[np.float64]:
     return np.repeat((2.0 * np.pi * k) ** (-2 * m), 2)
 
 
-def truncation_level(m: int, lam: float, mu1: float, d: int = 1) -> int:
-    """Truncation level for a spline-family fit at regularization ``lam``.
+def _level(make, m: int, lam: float, unit: int) -> int:
+    """The smallest level ``M`` at which ``spectral_sums(make(M), lam)`` holds.
 
-    Starts from ``M = max(64, ceil(10 * (lam/mu1)^(-1/(2m))))`` — stated on
-    the dimensionless ratio ``lam/mu1`` so the rule is invariant to the
-    eigenvalue normalization — rounded up to complete sin/cos pairs per
-    component, then grows M until the tail of ``h_inv`` beyond M is below a
-    1e-4 relative tolerance (the convergence requirement enforced by
-    :func:`spectral_sums`).
+    ``make(M)`` builds the family's spectrum with ``M`` finite eigenfunctions,
+    ``M`` a multiple of ``unit``. The search starts from ``M = unit * max(64
+    // unit, ceil(10 * (lam/mu1)^(-1/(2m))))`` — stated on the dimensionless
+    ratio ``lam/mu1`` so the rule is invariant to the eigenvalue
+    normalization — and doubles ``M`` until the tail of ``h_inv`` beyond it
+    is within the tolerance that :func:`spectral_sums` enforces.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    t = lam / mu1
-    pairs = max(M_DEFAULT // (2 * d), math.ceil(10.0 * t ** (-1.0 / (2 * m))))
-    while True:
-        M = 2 * pairs * d
-        if M > M_CAP:
-            raise TruncationError(
-                f"required truncation level exceeds cap {M_CAP} at lam={lam:g}"
-            )
-        # same bounds spectral_sums uses: integral tail vs the retained sum
-        k = np.arange(1, pairs + 1, dtype=np.float64)
-        h_inv = 1.0 + 2.0 * d * float(np.sum(1.0 / (1.0 + t * k ** (2 * m))))
-        tail = 2.0 * d * mu1 * pairs ** (1 - 2 * m) / (2 * m - 1)
-        if tail / lam <= TAIL_RTOL * h_inv:
+    t = lam / make(unit).mu1
+    M = unit * max(M_DEFAULT // unit, math.ceil(10.0 * t ** (-1.0 / (2 * m))))
+    while M <= M_CAP:
+        try:
+            spectral_sums(make(M), lam)
             return M
-        pairs *= 2
+        except TruncationError:
+            M *= 2
+    raise TruncationError(f"required truncation level exceeds cap {M_CAP} at lam={lam:g}")
+
+
+def truncation_level(m: int, lam: float, d: int = 1) -> int:
+    """Truncation level for a periodic or additive spline fit at ``lam``:
+    complete sin/cos pairs for each of the ``d`` components (see
+    :func:`_level`)."""
+    return _level(functools.partial(additive, m, d), m, lam, unit=2 * d)
 
 
 def periodic_sobolev(m: int, M: int = M_DEFAULT) -> Spectrum:
@@ -259,27 +260,10 @@ def smoothing_spline(m: int, M: int = M_DEFAULT) -> Spectrum:
 
 
 def smoothing_spline_level(m: int, lam: float) -> int:
-    """Truncation level for a :func:`smoothing_spline` fit at ``lam``.
-
-    The family has one eigenfunction per frequency, so the rule counts
-    singles: start from ``M = max(64, ceil(10 * (lam/mu1)^(-1/(2m))))`` and
-    double M until the tail bound of ``h_inv`` beyond M is below the 1e-4
-    relative tolerance that :func:`spectral_sums` enforces.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    t = lam / smoothing_spline(m, M=1).mu1
-    M = max(M_DEFAULT, math.ceil(10.0 * t ** (-1.0 / (2 * m))))
-    while True:
-        if M > M_CAP:
-            raise TruncationError(
-                f"required truncation level exceeds cap {M_CAP} at lam={lam:g}"
-            )
-        spec = smoothing_spline(m, M=M)
-        h_inv = spec.null_dim + float(np.sum(1.0 / (1.0 + lam / spec.eigenvalues)))
-        if _tail_mass(spec) / lam <= TAIL_RTOL * h_inv:
-            return M
-        M *= 2
+    """Truncation level for a :func:`smoothing_spline` fit at ``lam``: one
+    eigenfunction per frequency, so the level counts singles (see
+    :func:`_level`)."""
+    return _level(functools.partial(smoothing_spline, m), m, lam, unit=1)
 
 
 def additive(m: int, d: int, M: int | None = None) -> Spectrum:
@@ -438,11 +422,6 @@ def _hermite_psis(x: NDArray[np.float64], scale: float) -> Iterator[NDArray[np.f
         yield psi
 
 
-def _hermite_phi(nu: int, x: NDArray[np.float64], scale: float) -> NDArray[np.float64]:
-    """``phi_nu`` of :func:`_hermite_psis` alone."""
-    return next(itertools.islice(_hermite_psis(x, scale), nu - 1, None))
-
-
 def eval_eigenfunction(spec: Spectrum, nu: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
     """Evaluate eigenfunction ``phi_nu`` at points ``x``.
 
@@ -451,38 +430,26 @@ def eval_eigenfunction(spec: Spectrum, nu: int, x: NDArray[np.float64]) -> NDArr
     uses ``nu = 2k-1`` (sin) / ``2k`` (cos); the smoothing spline uses
     ``nu = k`` for the ``k``-th finite eigenfunction; the additive
     family uses ``nu = p*d + k`` for the ``p``-th eigenfunction of component
-    ``k`` (so valid finite indices are ``d+1 .. d+M``).
+    ``k`` (so valid finite indices are ``d+1 .. d+M``). A finite ``phi_nu``
+    is column ``nu - first`` of :func:`feature_matrix`, ``first`` being the
+    smallest finite index. The additive family reads ``x`` as points (see
+    :func:`_as_points`) and returns one value per point; the others are
+    evaluated elementwise and keep the shape of ``x``.
     """
     _require_eigenfunctions(spec)
     x = np.asarray(x, dtype=np.float64)
+    if spec.family == "additive":
+        pts, first = _as_points(x, spec.d), spec.d + 1
+        shape = pts.shape[:-1]
+    else:
+        pts, first, shape = x.reshape(-1), 1, x.shape
     if nu == 0:
         if not spec.has_constant:
             raise ValueError(f"{spec.family} spectrum has no constant eigenfunction")
-        shape = x.shape[:-1] if (spec.d > 1 and x.ndim > 1) else x.shape
         return np.ones(shape, dtype=np.float64)
-    if spec.family == "periodic_sobolev":
-        if not 1 <= nu <= spec.M:
-            raise ValueError(f"nu must be in 0..{spec.M}")
-        return _periodic_phi(nu, x.reshape(-1))[:, nu - 1].reshape(x.shape)
-    if spec.family == "smoothing_spline":
-        if not 1 <= nu <= spec.M:
-            raise ValueError(f"nu must be in 0..{spec.M}")
-        b = _spline_freqs(spec.m, nu)[-1:]
-        return _spline_phi(spec.m, b, x.reshape(-1))[:, 0].reshape(x.shape)
-    if spec.family == "additive":
-        lo, hi = spec.d + 1, spec.d + spec.M
-        if not lo <= nu <= hi:
-            raise ValueError(f"nu must be 0 or in {lo}..{hi}")
-        k = nu % spec.d or spec.d
-        p = (nu - k) // spec.d
-        pts = np.atleast_2d(x)
-        vals = _periodic_phi(p, pts[:, k - 1])[:, p - 1]
-        return vals.reshape(x.shape[:-1]) if x.ndim > 1 else vals
-    if spec.family == "gaussian_rkhs":
-        if not 1 <= nu <= spec.M:
-            raise ValueError(f"nu must be in 1..{spec.M}")
-        return _hermite_phi(nu, x, spec.scale)
-    raise AssertionError("unreachable")
+    if not first <= nu < first + spec.M:
+        raise ValueError(f"nu must be in {first}..{first + spec.M - 1}, or 0 for the constant")
+    return feature_matrix(spec, pts)[:, nu - first].reshape(shape)
 
 
 def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64]:

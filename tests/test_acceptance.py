@@ -29,7 +29,6 @@ from dckrr.spectra import (
     truncation_level,
 )
 
-MU1 = (2 * math.pi) ** -4  # leading eigenvalue, spline m=2
 
 _CAPSYS = None
 
@@ -106,7 +105,7 @@ def test_criterion_6_null_distribution_ks():
     s = max(1, math.floor(N**rho + 0.5))
     n = N // s
     lam = rates.prescribe("spline", 2, 1, n, "testing").lam
-    spec = periodic_sobolev(2, M=truncation_level(2, lam, MU1))
+    spec = periodic_sobolev(2, M=truncation_level(2, lam))
     zs = []
     for r in range(reps):
         data = simlab.generate("spline1d", N, seed=r, c=0.0)
@@ -149,7 +148,7 @@ def test_criterion_7_solver_oracle_equivalence():
 
 def test_criterion_8_spectral_properties():
     lam_grid = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
-    spline = periodic_sobolev(2, M=truncation_level(2, min(lam_grid), MU1))
+    spline = periodic_sobolev(2, M=truncation_level(2, min(lam_grid)))
     ratios = check_prop31_ratio(spline, lam_grid)
     band_ok = bool(np.all(ratios >= 0.2) and np.all(ratios <= 1.0))
     all_le_one = True
@@ -222,7 +221,7 @@ def test_criterion_11_xi_scaling_band():
     for n in (128, 256, 512, 1024):
         N, s = 4 * n, 4
         lam = n ** -0.8
-        spec = periodic_sobolev(2, M=truncation_level(2, lam, MU1))
+        spec = periodic_sobolev(2, M=truncation_level(2, lam))
         h = 1.0 / spectral_sums(spec, lam).h_inv
         xi_max = []
         for seed in range(50):

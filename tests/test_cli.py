@@ -99,6 +99,9 @@ class TestSweepCommand:
         ("workers", 0, "spline1d"),
         ("m", 0, "spline1d"),
         ("m", 0, "additive2d"),
+        ("replication", 100, "spline1d"),
+        ("lamda", {"source": "rates", "task": "testing"}, "spline1d"),
+        ("sigma", {"mode": "known"}, "additive2d"),
     ])
     def test_bad_field_fails_fast_naming_it(self, tmp_path, monkeypatch, capsys, field, value, model):
         def never(cfg):
@@ -110,6 +113,35 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error") and re.search(rf"\b{field}\b", err)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, value, key", [
+        ("lambda", {"source": "rates", "tsk": "testing"}, "lambda.tsk"),
+        ("sigma2", {"mode": "known", "valeu": 1.0}, "sigma2.valeu"),
+    ])
+    def test_unknown_section_key_fails_fast_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                      section, value, key):
+        def never(cfg):
+            raise AssertionError("the experiment ran on an invalid config")
+
+        monkeypatch.setattr(simlab, "run_sweep", never)
+        cfg = _write_config(tmp_path, **{section: value})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_section_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, **{"lambda": "rates"})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "lambda must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [{}, {"solve_path": "exact_gram"}], ids=["default", "exact_gram"])
+    def test_plugin_sigma2_runs_on_either_solve_path(self, tmp_path, path):
+        cfg = _write_config(tmp_path, sigma2={"mode": "plugin"}, **path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = list(csv.DictReader((out / "sweep.csv").open()))
+        assert rows[0]["reps"] == "3"
 
     def test_experiment_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(cfg):

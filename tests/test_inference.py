@@ -193,10 +193,20 @@ class TestEstimateSigma2:
         s2 = estimate_sigma2(est, data, part)
         assert s2 == pytest.approx(1.0, abs=0.15)
 
-    def test_requires_exact_gram(self):
-        spec, data, part, est = _estimate(solve_path="truncated_feature")
-        with pytest.raises(ValueError):
-            estimate_sigma2(est, data, part)
+    @pytest.mark.parametrize("spec", [periodic_sobolev(2, M=64), smoothing_spline(2, M=64)],
+                             ids=["periodic", "spline"])
+    @pytest.mark.parametrize("seed, lam", [(0, 1e-3), (1, 1e-4), (2, 1e-2)])
+    def test_solve_paths_agree(self, spec, seed, lam):
+        # both paths fit the same estimator, so either serves the plug-in
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(size=240)
+        data = Dataset(xs=xs, ys=0.6 * np.sin(1.5 * np.pi * xs) + rng.standard_normal(240))
+        part = partition(data, s=4, seed=seed)
+        gram, feature = (
+            estimate_sigma2(fit_all(spec, data, part, lam=lam, solve_path=path), data, part)
+            for path in ("exact_gram", "truncated_feature")
+        )
+        assert feature == pytest.approx(gram, rel=1e-12)
 
 
 class TestSeparation:

@@ -30,7 +30,7 @@ from dckrr.spectra import (
     thin_plate,
     truncation_level,
 )
-from dckrr.spectra import _beam_roots, _hermite_phi
+from dckrr.spectra import _beam_roots
 
 RNG = np.random.default_rng(1234)
 
@@ -157,7 +157,7 @@ class TestEigenfunctions:
     @pytest.mark.parametrize("scale", [1.0, 0.35])
     def test_gaussian_features_from_one_hermite_pass(self, scale):
         # one pass of the recurrence collects phi_1..phi_M; every column
-        # equals its own restarted recurrence and a copy of the old loop
+        # equals its own restarted recurrence
         def restarted(nu, x):
             t = np.sqrt(2.0 * scale) * x
             psi_prev = np.zeros_like(t)
@@ -170,7 +170,6 @@ class TestEigenfunctions:
         x = RNG.uniform(-2.0, 2.0, size=301)
         phi = feature_matrix(spec, x)
         assert phi.shape == (301, 64)
-        assert np.array_equal(phi, np.column_stack([_hermite_phi(nu, x, scale) for nu in range(1, 65)]))
         assert np.array_equal(phi, np.column_stack([restarted(nu, x) for nu in range(1, 65)]))
 
     def test_thin_plate_has_no_eigenfunctions(self):
@@ -187,6 +186,45 @@ class TestEigenfunctions:
         gauss = gaussian_rkhs(1, M=8)
         with pytest.raises(ValueError):
             eval_eigenfunction(gauss, 0, np.array([0.5]))
+        addit = additive(2, 2, M=8)  # finite indices 3..10
+        assert eval_eigenfunction(addit, 10, np.array([[0.5, 0.5]])).shape == (1,)
+        for nu in (1, 2, 11):
+            with pytest.raises(ValueError):
+                eval_eigenfunction(addit, nu, np.array([[0.5, 0.5]]))
+
+    def test_one_point_in_d_dims_has_one_value(self):
+        # a 1-d x is one point when d > 1, for the constant as for the rest
+        spec = additive(2, 2)
+        x = np.array([0.3, 0.7])
+        for nu in (0, 3, 4):
+            assert eval_eigenfunction(spec, nu, x).shape == (1,)
+        assert eval_eigenfunction(spec, 0, x)[0] == 1.0
+        assert eval_eigenfunction(spec, 4, x)[0] == pytest.approx(math.sqrt(2) * math.sin(2 * math.pi * 0.7))
+
+    def test_additive_d1_reads_1d_input_as_points(self):
+        # additive(m, 1) is the periodic family with indices shifted by one
+        addit, periodic = additive(2, 1, M=16), periodic_sobolev(2, M=16)
+        x = RNG.uniform(size=5)
+        assert eval_eigenfunction(addit, 0, x).shape == (5,)
+        for nu in (1, 2, 16):
+            assert np.array_equal(eval_eigenfunction(addit, nu + 1, x), eval_eigenfunction(periodic, nu, x))
+            assert np.array_equal(eval_eigenfunction(addit, nu + 1, x.reshape(-1, 1)),
+                                  eval_eigenfunction(periodic, nu, x))
+
+    @pytest.mark.parametrize("spec", [
+        periodic_sobolev(2, M=16), smoothing_spline(1, M=16), smoothing_spline(2, M=16),
+        additive(2, 2, M=16), gaussian_rkhs(1, 0.7, M=16),
+    ], ids=["periodic", "spline1", "spline2", "additive", "gaussian"])
+    def test_values_are_feature_matrix_columns(self, spec):
+        pts = RNG.uniform(size=(7, spec.d))
+        X = pts[:, 0] if spec.d == 1 else pts
+        first = spec.d + 1 if spec.family == "additive" else 1
+        phi = feature_matrix(spec, X)
+        for j in range(spec.M):
+            assert np.array_equal(eval_eigenfunction(spec, first + j, X), phi[:, j])
+        if spec.d == 1:  # elementwise: the shape of x is kept
+            assert eval_eigenfunction(spec, 1, pts).shape == (7, 1)
+            assert eval_eigenfunction(spec, 1, np.float64(0.3)).shape == ()
 
 
 class TestKernels:
@@ -259,6 +297,42 @@ class TestKernels:
             )
 
 
+def _level_or_none(level, *args):
+    try:
+        return level(*args)
+    except TruncationError:
+        return None
+
+
+def _reference_truncation_level(m, lam, d):
+    """The periodic/additive level as a hand-written loop over sin/cos pairs:
+    the integral tail bound against the retained ``h_inv``; None past the cap."""
+    mu1 = (2 * math.pi) ** (-2 * m)
+    t = lam / mu1
+    pairs = max(64 // (2 * d), math.ceil(10.0 * t ** (-1.0 / (2 * m))))
+    while 2 * pairs * d <= M_CAP:
+        k = np.arange(1, pairs + 1, dtype=np.float64)
+        h_inv = 1.0 + 2.0 * d * float(np.sum(1.0 / (1.0 + t * k ** (2 * m))))
+        tail = 2.0 * d * mu1 * pairs ** (1 - 2 * m) / (2 * m - 1)
+        if tail / lam <= 1e-4 * h_inv:
+            return 2 * pairs * d
+        pairs *= 2
+    return None
+
+
+def _reference_spline_level(m, lam):
+    """The smoothing-spline level as a hand-written loop over single
+    frequencies, with the tail bound ``mu_k <= (k pi)^(-2m)``; None past the cap."""
+    M = max(64, math.ceil(10.0 * (lam / smoothing_spline(m, M=1).mu1) ** (-1.0 / (2 * m))))
+    while M <= M_CAP:
+        h_inv = m + float(np.sum(1.0 / (1.0 + lam / smoothing_spline(m, M=M).eigenvalues)))
+        tail = np.pi ** (-2 * m) * M ** (1 - 2 * m) / (2 * m - 1)
+        if tail / lam <= 1e-4 * h_inv:
+            return M
+        M *= 2
+    return None
+
+
 class TestSpectralSums:
     def test_hand_summed_example(self):
         spec = explicit_spectrum([1.0, 0.25, 1.0 / 9.0])
@@ -276,7 +350,7 @@ class TestSpectralSums:
         # h_inv * lam^{1/(2m)} stays within a fixed band across the grid
         vals = []
         for lam in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            spec = periodic_sobolev(2, M=truncation_level(2, lam, (2 * math.pi) ** -4))
+            spec = periodic_sobolev(2, M=truncation_level(2, lam))
             vals.append(spectral_sums(spec, lam).h_inv * lam**0.25)
         assert max(vals) / min(vals) < 3.0
 
@@ -301,12 +375,24 @@ class TestSpectralSums:
     def test_truncation_level_rule(self):
         mu1 = (2 * math.pi) ** -4
         # floor at 64 when the ratio is moderate
-        assert truncation_level(2, mu1 * 0.5, mu1) == 64
+        assert truncation_level(2, mu1 * 0.5) == 64
         # grows for small lam, never odd, capped with an error
-        M = truncation_level(2, mu1 * 1e-5, mu1)
+        M = truncation_level(2, mu1 * 1e-5)
         assert M >= 2 * math.ceil(10 * (1e-5) ** -0.25) - 2 and M % 2 == 0
         with pytest.raises(TruncationError):
-            truncation_level(2, mu1 * 1e-18, mu1)
+            truncation_level(2, mu1 * 1e-18)
+
+    @given(m=st.integers(1, 3), d=st.integers(1, 3), log_lam=st.floats(-14.0, -1.0))
+    @settings(max_examples=60, deadline=None)
+    def test_truncation_level_matches_the_reference_loop(self, m, d, log_lam):
+        lam = 10.0**log_lam
+        assert _level_or_none(truncation_level, m, lam, d) == _reference_truncation_level(m, lam, d)
+
+    @given(m=st.integers(1, 2), log_lam=st.floats(-14.0, -1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_smoothing_spline_level_matches_the_reference_loop(self, m, log_lam):
+        lam = 10.0**log_lam
+        assert _level_or_none(smoothing_spline_level, m, lam) == _reference_spline_level(m, lam)
 
     def test_thin_plate_sums_are_partial_sums(self):
         spec = thin_plate(2, 2, M=4096)
@@ -343,7 +429,7 @@ class TestRegularityChecks:
     def test_prop31_spline_band(self):
         lam_grid = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
         spec = periodic_sobolev(
-            2, M=truncation_level(2, min(lam_grid), (2 * math.pi) ** -4)
+            2, M=truncation_level(2, min(lam_grid))
         )
         ratios = check_prop31_ratio(spec, lam_grid)
         assert np.all(ratios >= 0.2) and np.all(ratios <= 1.0)
