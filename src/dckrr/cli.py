@@ -117,23 +117,38 @@ def _load_config(args) -> dict:
     return cfg
 
 
-# The keys a sweep config may hold, at the top level and in each section.
+# The keys a config may hold, at the top level and in each section.
+# ``base_seed`` and ``workers`` are also written by ``--seed`` and ``--workers``.
 SWEEP_KEYS = {
     "": ("model", "c", "N_list", "rho_list", "replications", "alpha", "lambda", "sigma2",
          "base_seed", "solve_path", "workers", "m", "grid_size"),
     "lambda.": ("source", "task", "value"),
     "sigma2.": ("mode", "value"),
 }
+DIAGNOSE_KEYS = {
+    "": ("lambda_grid", "spectrum", "xi", "base_seed", "workers"),
+    "spectrum.": ("family", "m", "d", "M", "scale"),
+    "xi.": ("N", "s", "lambda", "seed"),
+}
 
 
-def _known_keys(section, prefix: str) -> dict:
-    """``section``, checked to be a JSON object holding only known keys."""
+def _known_keys(section, prefix: str, keys: dict = SWEEP_KEYS) -> dict:
+    """``section``, checked to be a JSON object holding only ``keys[prefix]``."""
     if not isinstance(section, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
-    unknown = sorted(set(section) - set(SWEEP_KEYS[prefix]))
+    unknown = sorted(set(section) - set(keys[prefix]))
     if unknown:
         raise ConfigError("unknown config key " + ", ".join(repr(prefix + k) for k in unknown))
     return section
+
+
+def _field(section: dict, prefix: str, key: str, kind, default):
+    """``kind(section[key])``, or ``default`` when absent; a value ``kind``
+    rejects is a config error naming the field."""
+    try:
+        return kind(section[key]) if key in section else default
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{prefix}{key}: {exc}") from exc
 
 
 def _sweep_config(cfg: dict) -> simlab.SweepConfig:
@@ -225,24 +240,20 @@ def cmd_rates(args) -> int:
 
 
 def _diag_spectrum(cfg: dict, lam_grid: list[float]):
+    cfg = _known_keys(cfg, "spectrum.", DIAGNOSE_KEYS)
     fam = cfg.get("family", "spline")
-    m = int(cfg.get("m", 2))
-    d = int(cfg.get("d", 1))
-    if "M" in cfg:
-        M = int(cfg["M"])
-    elif fam in ("spline", "periodic_sobolev", "additive"):
-        # resolve the finest lambda in the grid
-        M = truncation_level(m, min(lam_grid), d)
-    else:
-        M = 64
+    m, d = _field(cfg, "spectrum.", "m", int, 2), _field(cfg, "spectrum.", "d", int, 1)
+    kw = {"M": _field(cfg, "spectrum.", "M", int, None)} if "M" in cfg else {}
+    if not kw and fam in ("spline", "periodic_sobolev", "additive"):
+        kw["M"] = truncation_level(m, min(lam_grid), d)  # resolve the finest lambda in the grid
     if fam in ("spline", "periodic_sobolev"):
-        return periodic_sobolev(m, M=M)
+        return periodic_sobolev(m, **kw)
     if fam == "additive":
-        return additive(m, d, M=M)
+        return additive(m, d, **kw)
     if fam in ("gaussian", "gaussian_rkhs"):
-        return gaussian_rkhs(d, float(cfg.get("scale", 1.0)), M=M)
+        return gaussian_rkhs(d, _field(cfg, "spectrum.", "scale", float, 1.0), **kw)
     if fam == "thin_plate":
-        return thin_plate(m, d, M=M)
+        return thin_plate(m, d, **kw)
     raise ConfigError(f"unknown family {fam!r}")
 
 
@@ -250,8 +261,16 @@ def cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     try:
         raw = _load_config(args) if (args.config or args.preset) else {}
-        lam_grid = [float(x) for x in raw.get("lambda_grid", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])]
+        raw = _known_keys(raw, "", DIAGNOSE_KEYS)
+        lam_grid = _field(raw, "", "lambda_grid", lambda v: [float(x) for x in v],
+                          [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
         spec = _diag_spectrum(raw.get("spectrum", {}), lam_grid)
+        xi = raw.get("xi")
+        if xi:
+            xi = _known_keys(xi, "xi.", DIAGNOSE_KEYS)
+            N, s = _field(xi, "xi.", "N", int, 1024), _field(xi, "xi.", "s", int, 4)
+            lam = _field(xi, "xi.", "lambda", float, lam_grid[0])
+            seed = _field(xi, "xi.", "seed", int, 0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -276,18 +295,13 @@ def cmd_diagnose(args) -> int:
             "h_inv": spectral_sums(spec, lam0).h_inv,
             "ok": kxx <= 2.0 * spectral_sums(spec, lam0).h_inv,
         }
-    if raw.get("xi"):
-        if not spec.has_eigenfunctions:
+    if xi:
+        if not spec.has_eigenfunctions or spec.d > 2:  # designs come from 1-D or 2-D models
             print(
-                f"unsupported: xi diagnostic unavailable for {spec.family}",
+                f"unsupported: xi diagnostic unavailable for {spec.family} with d={spec.d}",
                 file=sys.stderr,
             )
             return EXIT_CONFIG
-        xi_cfg = raw["xi"]
-        N = int(xi_cfg.get("N", 1024))
-        s = int(xi_cfg.get("s", 4))
-        lam = float(xi_cfg.get("lambda", lam_grid[0]))
-        seed = int(xi_cfg.get("seed", 0))
         model = "spline1d" if spec.d == 1 else "additive2d"
         data = simlab.generate(model, N, seed, c=0.0)
         part = dnc.partition(data, s, seed)

@@ -75,16 +75,16 @@ class DncEstimate:
     """The averaged estimate ``f_bar = (1/s) sum_j f_hat_j``.
 
     ``coeffs`` holds the Mercer coefficients ``c_nu = V(f_bar, phi_nu)`` of
-    the finite eigenpairs (when eigenfunctions exist) and ``beta`` the
-    averaged coefficients of the null-space functions ``null_basis(spec, .)``,
-    which are ``V``-orthonormal and orthogonal to every ``phi_nu``.
+    the finite eigenpairs and ``beta`` the averaged coefficients of the
+    null-space functions ``null_basis(spec, .)``, which are ``V``-orthonormal
+    and orthogonal to every ``phi_nu``.
     """
 
     spec: Spectrum
     lam: float
     fits: tuple[MachineFit, ...]
     beta: NDArray[np.float64]
-    coeffs: NDArray[np.float64] | None
+    coeffs: NDArray[np.float64]
 
     @property
     def s(self) -> int:
@@ -140,18 +140,9 @@ def fit_all(
     else:
         with ThreadPoolExecutor(max_workers=min(workers, part.s)) as pool:
             fits = list(pool.map(lambda sub: krr_fit(spec, sub, lam, solve_path), subs))
-    beta = np.zeros(spec.null_dim)
-    for f in fits:  # ordered fold: independent of pool scheduling
-        beta += f.beta
-    beta /= part.s
-    coeffs = None
-    # Gaussian fits use the closed-form kernel, so the truncated Hermite
-    # expansion would misstate the coefficients; leave norms to the gram route.
-    if spec.has_eigenfunctions and spec.family != "gaussian_rkhs":
-        acc = np.zeros(spec.M)
-        for f in fits:  # ordered fold: independent of pool scheduling
-            acc += f.mercer_coeffs(spec)
-        coeffs = acc / part.s
+    # ordered folds over the machines: independent of pool scheduling
+    beta = sum((f.beta for f in fits), np.zeros(spec.null_dim)) / part.s
+    coeffs = sum((f.mercer_coeffs(spec) for f in fits), np.zeros(spec.M)) / part.s
     return DncEstimate(spec=spec, lam=lam, fits=tuple(fits), beta=beta, coeffs=coeffs)
 
 

@@ -6,7 +6,8 @@ The test statistic is the squared embedded norm of the averaged estimate,
 coefficients of the unpenalized null space (``c0 = beta_0`` the constant's).
 Under the null it concentrates at ``sigma^2 * h_inv / N`` with fluctuation
 ``sqrt(2 N (N-1) h_inv2) * sigma^2 / N^2``; the standardized statistic is
-compared with the two-sided normal quantile.
+compared with the two-sided normal quantile. Every family is read from
+``(beta, coeffs)``, the Gaussian through its Nyström eigenpairs.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
 
 from dckrr.dnc import Dataset, DncEstimate, Partition, subsample_for
 from dckrr.solver import predict, smoother_trace
-from dckrr.spectra import Spectrum, gram_R, spectral_sums
+from dckrr.spectra import Spectrum, spectral_sums
 
 __all__ = [
     "NormBreakdown",
@@ -31,10 +31,6 @@ __all__ = [
     "separation",
     "inverse_normal_cdf",
 ]
-
-QUAD_POINTS = 4096
-GRAM_BLOCK_ENTRIES = 2**18  # 2 MB of float64 per block of a Gaussian gram
-
 
 @dataclass(frozen=True)
 class NormBreakdown:
@@ -76,47 +72,14 @@ class SeparationReport:
     n: int
 
 
-def _quad_grid(d: int, points_per_axis: int) -> NDArray[np.float64]:
-    axis = (np.arange(points_per_axis) + 0.5) / points_per_axis
-    if d == 1:
-        return axis.reshape(-1, 1)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.column_stack([g.reshape(-1) for g in grids])
-
-
-def _gram_apply(spec: Spectrum, X: NDArray[np.float64], A: NDArray[np.float64],
-                w: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``gram_R(spec, X, A) @ w``, built in row blocks of at most
-    ``GRAM_BLOCK_ENTRIES`` kernel values."""
-    rows = max(1, GRAM_BLOCK_ENTRIES // A.shape[0])
-    return np.concatenate([
-        gram_R(spec, X[i : i + rows], A) @ w for i in range(0, X.shape[0], rows)
-    ])
-
-
 def norm_breakdown(est: DncEstimate) -> NormBreakdown:
-    """Split ``|f_bar|^2`` into its ``V`` and RKHS parts.
-
-    Uses Mercer coefficients when eigenfunctions are available. Otherwise
-    (Gaussian kernel, no null space) ``f_bar = sum_i w_i R(a_i, .)`` over the
-    concatenated anchors ``a`` of all machines, with ``w = concat(alpha_j) / s``:
-    the ``V`` part is the midpoint-quadrature mean of ``f_bar^2`` on the unit
-    cube and the RKHS part the quadratic form ``w' R(a, a) w``, each gram
-    applied in row blocks so that no more than ``GRAM_BLOCK_ENTRIES`` kernel
-    values are held at once.
+    """Split ``|f_bar|^2`` into ``V(f, f) = |beta|^2 + sum_nu c_nu^2`` and
+    ``|f|_H^2 = sum_nu c_nu^2 / mu_nu``, over the Mercer coefficients (for
+    the Gaussian, of its Nyström pairs; see :func:`~dckrr.spectra.gaussian_rkhs`).
     """
-    spec, lam = est.spec, est.lam
-    if est.coeffs is not None:
-        v = float(np.sum(est.beta**2)) + float(np.sum(est.coeffs**2))
-        h = float(np.sum(est.coeffs**2 / spec.eigenvalues))
-        return NormBreakdown(v_part=v, h_part=h, lam=lam)
-    per_axis = QUAD_POINTS if spec.d == 1 else max(2, round(QUAD_POINTS ** (1.0 / spec.d)))
-    grid = _quad_grid(spec.d, per_axis)
-    anchors = np.concatenate([f.anchors for f in est.fits])
-    w = np.concatenate([f.alpha for f in est.fits]) / est.s
-    v = float(np.mean(_gram_apply(spec, grid, anchors, w) ** 2))
-    h = float(w @ _gram_apply(spec, anchors, anchors, w))
-    return NormBreakdown(v_part=v, h_part=h, lam=lam)
+    v = float(np.sum(est.beta**2)) + float(np.sum(est.coeffs**2))
+    h = float(np.sum(est.coeffs**2 / est.spec.eigenvalues))
+    return NormBreakdown(v_part=v, h_part=h, lam=est.lam)
 
 
 def test_statistic(

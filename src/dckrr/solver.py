@@ -122,7 +122,7 @@ def krr_fit(spec: Spectrum, sub: Subsample, lam: float, solve_path: str = "exact
             anchors=sub.xs, alpha=alpha,
         )
     if solve_path == "truncated_feature":
-        if not spec.has_eigenfunctions or spec.family == "gaussian_rkhs":
+        if not spec.has_eigenfunctions:
             raise ValueError(
                 f"truncated_feature path unavailable for {spec.family}; use exact_gram"
             )
@@ -147,13 +147,13 @@ def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArr
     and in place: ``phi * sqrt(mu)`` for ``truncated_feature`` and
     ``phi * mu`` (the left factor of :func:`~dckrr.spectra.gram_R`) for
     ``exact_gram``. Each fit's values are bit-identical to evaluating it
-    alone. Gaussian fits use the closed-form ``gram_R``.
+    alone. Gaussian ``exact_gram`` fits use the closed-form ``gram_R``.
     """
     X = np.asarray(X, dtype=np.float64)
     null = null_basis(spec, X)
     scaled = {}  # solve path -> scaled basis at X
     for fit in fits:
-        if spec.family == "gaussian_rkhs":
+        if spec.family == "gaussian_rkhs" and fit.solve_path == "exact_gram":
             yield null @ fit.beta + gram_R(spec, X, fit.anchors) @ fit.alpha
             continue
         if fit.solve_path not in scaled:

@@ -7,6 +7,9 @@ kernels built from them:
 * ``R`` — the reproducing kernel, ``R(x, y) = sum_nu mu_nu phi_nu(x) phi_nu(y)``;
 * ``K`` — the inference kernel, ``K(x, y) = sum_nu phi_nu(x) phi_nu(y) / (1 + lam/mu_nu)``.
 
+Eigenpairs are taken under the design ``U[0,1]^d``; the Gaussian RKHS's are
+Nyström pairs from a Gauss–Legendre rule (see :func:`gaussian_rkhs`).
+
 Some families have an unpenalized null space: functions with infinite
 eigenvalue. Periodic Sobolev and its additive extension have the constant
 (``has_constant=True``); the smoothing-spline family ``W^m[0,1]`` has the
@@ -19,9 +22,7 @@ eigenvalue array, each contributes exactly 1 to each spectral sum and
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,8 @@ M_DEFAULT = 64
 M_CAP = 16384
 TAIL_RTOL = 1e-4
 
-GOLDEN_DECAY = (math.sqrt(5.0) - 1.0) / 2.0
+GAUSS_NODES = 128  # Gauss–Legendre nodes of the Gaussian's Nyström rule on [0, 1]
+GAUSS_FLOOR = 1e-15  # Gaussian eigenvalues kept: mu > GAUSS_FLOOR * mu_1
 
 SMOOTHING_SPLINE_ORDERS = (1, 2)  # orders with closed-form eigenpairs
 
@@ -298,26 +300,70 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
     )
 
 
-def gaussian_rkhs(d: int = 1, scale: float = 1.0, M: int = M_DEFAULT) -> Spectrum:
-    """Gaussian RKHS spectrum with kernel ``exp(-scale * |x - y|^2)``.
+@functools.lru_cache(maxsize=None)
+def _gaussian_basis(d: int, scale: float, M: int) -> tuple[NDArray, ...]:
+    """Nyström eigenpairs of ``K = exp(-scale |x - y|^2)`` under ``U[0,1]^d``,
+    read-only: ``(nodes, coef, mu, index)``.
 
-    Eigenvalues decay geometrically, ``mu_nu = q^(2*nu + 1)`` with
-    ``q = (sqrt(5) - 1)/2``. Eigenfunctions (Hermite recurrence) are exposed
-    for d=1 diagnostics only; fitting always uses the closed-form kernel.
+    In 1-D, ``(mu_nu, u)`` are the eigenpairs of ``W^{1/2} K W^{1/2}`` on the
+    Gauss–Legendre rule ``(t_j, w_j)``, each ``u`` starting positive, and
+    ``phi_nu(x) = sum_j sqrt(w_j) K(x, t_j) u_j / mu_nu = sum_j K(x, t_j)
+    coef[j, nu]`` (Williams & Seeger 2001), accurate to ``~eps mu_1 / mu_nu``.
+    In ``d`` dimensions ``phi = prod_k phi_{index[:, k]}(x_k)`` with eigenvalue
+    ``mu``, largest first (ties in index order), while ``mu > GAUSS_FLOOR *
+    mu_1``, at most ``M``. Every later factor is at most the 1-D ``mu_1``, so
+    a partial product below the floor, or below ``M`` others, is dropped.
+    """
+    t, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
+    t, sw = 0.5 * (t + 1.0), np.sqrt(0.5 * w)
+    A = sw[:, None] * np.exp(-scale * np.subtract.outer(t, t) ** 2) * sw
+    # x -> 1 - x reverses the nodes and commutes with A, so each eigenvector is
+    # even or odd: two half-size problems, small enough for single-threaded BLAS
+    h = GAUSS_NODES // 2
+    (me, ve), (mo, vo) = (np.linalg.eigh(A[:h, :h] + sign * A[:h, :h - 1 : -1]) for sign in (1, -1))
+    mu1, U = np.r_[me, mo], np.block([[ve, vo], [ve[::-1], -vo[::-1]]]) / math.sqrt(2.0)
+    order = np.argsort(-mu1, kind="stable")
+    order = order[mu1[order] > GAUSS_FLOOR * mu1[order[0]]]
+    mu1, U = mu1[order], U[:, order]
+    coef = sw[:, None] * U * np.sign(U[0]) / mu1
+    K = mu1.shape[0]
+    mu, index = np.ones(1), np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, d + 1):
+        mu = np.multiply.outer(mu, mu1).ravel()
+        index = np.column_stack([np.repeat(index, K, axis=0), np.tile(np.arange(K), len(index))])
+        keep = mu > GAUSS_FLOOR * mu1[0] ** k
+        if np.count_nonzero(keep) > M:
+            keep &= mu >= np.sort(mu[keep])[-M]
+        mu, index = mu[keep], index[keep]
+    order = np.argsort(-mu, kind="stable")[:M]
+    out = (t, coef, mu[order], index[order])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def gaussian_rkhs(d: int = 1, scale: float = 1.0, M: int = M_CAP) -> Spectrum:
+    """Gaussian RKHS spectrum with kernel ``exp(-scale * |x - y|^2)`` under
+    ``U[0,1]^d``: Nyström pairs on Gauss–Legendre nodes, tensor products for
+    ``d > 1`` (see :func:`_gaussian_basis`). Eigenvalues above ``GAUSS_FLOOR
+    * mu_1`` are kept, at most ``M`` (by default all); as ``integral K(x, x)
+    dx = 1``, the discarded mass is ``1 - sum(mu)``. ``exact_gram`` uses the
+    closed form.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    nu = np.arange(1, M + 1, dtype=np.float64)
+    if M < 1:
+        raise ValueError("M must be a positive number of eigenfunctions")
     return Spectrum(
         family="gaussian_rkhs",
         m=0,
         d=d,
-        scale=scale,
-        eigenvalues=GOLDEN_DECAY ** (2 * nu + 1),
+        scale=float(scale),
+        eigenvalues=_gaussian_basis(d, float(scale), M)[2],
         has_constant=False,
-        has_eigenfunctions=(d == 1),
+        has_eigenfunctions=True,
     )
 
 
@@ -401,27 +447,6 @@ def _spline_phi(m: int, b: NDArray[np.float64], x: NDArray[np.float64]) -> NDArr
     )
 
 
-def _hermite_psis(x: NDArray[np.float64], scale: float) -> Iterator[NDArray[np.float64]]:
-    """Gaussian-kernel eigenfunctions on R via the Hermite recurrence (d=1):
-    yields ``phi_1, phi_2, ...`` at the points ``x``, one recurrence step each.
-
-    ``phi_nu(x) = (a/pi)^(1/4) / sqrt(2^(nu-1) (nu-1)!) * H_{nu-1}(sqrt(2a) x)
-    * exp(-a x^2)`` with the recurrence ``H_j = 2 t H_{j-1} - 2 (j-1) H_{j-2}``,
-    folded incrementally to keep the products finite.
-    """
-    a = scale  # curvature of the Gaussian envelope, tied to the bandwidth
-    t = np.sqrt(2.0 * a) * x
-    env = (a / np.pi) ** 0.25 * np.exp(-a * x * x)
-    # psi_j = H_j(t) / sqrt(2^j j!) * env, via psi_j = t*sqrt(2/j)*psi_{j-1}
-    #                                              - sqrt((j-1)/j)*psi_{j-2}
-    psi_prev = np.zeros_like(t)
-    psi = env.copy()
-    yield psi
-    for j in itertools.count(1):
-        psi, psi_prev = t * math.sqrt(2.0 / j) * psi - math.sqrt((j - 1) / j) * psi_prev, psi
-        yield psi
-
-
 def eval_eigenfunction(spec: Spectrum, nu: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
     """Evaluate eigenfunction ``phi_nu`` at points ``x``.
 
@@ -432,17 +457,18 @@ def eval_eigenfunction(spec: Spectrum, nu: int, x: NDArray[np.float64]) -> NDArr
     family uses ``nu = p*d + k`` for the ``p``-th eigenfunction of component
     ``k`` (so valid finite indices are ``d+1 .. d+M``). A finite ``phi_nu``
     is column ``nu - first`` of :func:`feature_matrix`, ``first`` being the
-    smallest finite index. The additive family reads ``x`` as points (see
-    :func:`_as_points`) and returns one value per point; the others are
-    evaluated elementwise and keep the shape of ``x``.
+    smallest finite index. The additive family and all with ``d > 1`` read
+    ``x`` as points (see :func:`_as_points`) and return one value per point;
+    the others are evaluated elementwise and keep the shape of ``x``.
     """
     _require_eigenfunctions(spec)
     x = np.asarray(x, dtype=np.float64)
-    if spec.family == "additive":
-        pts, first = _as_points(x, spec.d), spec.d + 1
+    first = spec.d + 1 if spec.family == "additive" else 1
+    if spec.family == "additive" or spec.d > 1:
+        pts = _as_points(x, spec.d)
         shape = pts.shape[:-1]
     else:
-        pts, first, shape = x.reshape(-1), 1, x.shape
+        pts, shape = x.reshape(-1), x.shape
     if nu == 0:
         if not spec.has_constant:
             raise ValueError(f"{spec.family} spectrum has no constant eigenfunction")
@@ -475,8 +501,13 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64
             out[:, k :: spec.d] = _periodic_phi(per_comp, pts[:, k])
         return out
     if spec.family == "gaussian_rkhs":
-        x = X.reshape(-1)
-        return np.column_stack(list(itertools.islice(_hermite_psis(x, spec.scale), spec.M)))
+        pts = _as_points(X, spec.d)
+        nodes, coef, _, index = _gaussian_basis(spec.d, spec.scale, spec.M)
+        axis = gaussian_rkhs(1, spec.scale)  # the kernel of one coordinate
+        out = np.ones((pts.shape[0], spec.M))
+        for k in range(spec.d):
+            out *= (gram_R(axis, pts[:, k], nodes) @ coef)[:, index[:, k]]
+        return out
     raise AssertionError("unreachable")
 
 
@@ -556,7 +587,7 @@ def eval_kernel_K(spec: Spectrum, lam: float, x: NDArray[np.float64], y: NDArray
 
 
 def _tail_mass(spec: Spectrum) -> float:
-    """Analytic bound on ``sum_{nu > M} mu_nu`` beyond the truncation."""
+    """Bound on ``sum_{nu > M} mu_nu`` beyond the truncation."""
     if spec.family in ("periodic_sobolev", "additive"):
         m, d = spec.m, spec.d
         k_max = spec.M // (2 * d)  # complete pairs per component
@@ -568,8 +599,8 @@ def _tail_mass(spec: Spectrum) -> float:
         m = spec.m
         return np.pi ** (-2 * m) * spec.M ** (1 - 2 * m) / (2 * m - 1)
     if spec.family == "gaussian_rkhs":
-        q2 = GOLDEN_DECAY**2
-        return float(spec.eigenvalues[-1] * q2 / (1.0 - q2))
+        # the trace of the Gaussian operator on the unit cube is 1
+        return max(0.0, 1.0 - float(np.sum(spec.eigenvalues)))
     if spec.family == "thin_plate":
         a = 2.0 * spec.m / spec.d
         return spec.M ** (1.0 - a) / (a - 1.0)

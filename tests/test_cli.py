@@ -229,3 +229,46 @@ class TestDiagnoseCommand:
         cfg = tmp_path / "diag.json"
         cfg.write_text(json.dumps({"spectrum": {"family": "bogus"}}))
         assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("cfg, field", [
+        ({"spectrum": {"m": "two"}}, "spectrum.m"),
+        ({"spectrum": {"scale": "wide", "family": "gaussian"}}, "spectrum.scale"),
+        ({"spectrum": {"famly": "gaussian"}}, "spectrum.famly"),
+        ({"lambda_grd": [1e-3]}, "lambda_grd"),
+        ({"lambda_grid": ["small"]}, "lambda_grid"),
+        ({"xi": {"N": "many"}}, "xi.N"),
+        ({"xi": {"n": 64}}, "xi.n"),
+    ], ids=["m-two", "scale-wide", "famly", "lambda_grd", "lambda_grid-str",
+            "xi.N-many", "xi.n"])
+    def test_bad_field_fails_fast_naming_it(self, tmp_path, capsys, cfg, field):
+        path = tmp_path / "diag.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
+        assert not out.exists()
+
+    def test_seed_and_workers_flags_are_accepted(self, tmp_path):
+        cfg = tmp_path / "diag.json"
+        cfg.write_text(json.dumps({"lambda_grid": [1e-2]}))
+        out = tmp_path / "d"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out),
+                     "--seed", "3", "--workers", "2"]) == EXIT_OK
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+
+    def test_gaussian_xi_in_two_dimensions_not_three(self, tmp_path, capsys):
+        # the Gaussian has eigenfunctions in every dimension, but the xi
+        # designs come from the 1-D and 2-D models only
+        cfg = tmp_path / "diag.json"
+        for d, code in ((2, EXIT_OK), (3, EXIT_CONFIG)):
+            cfg.write_text(json.dumps({
+                "spectrum": {"family": "gaussian", "d": d},
+                "lambda_grid": [1e-2, 1e-3],
+                "xi": {"N": 256, "s": 2, "lambda": 1e-2},
+            }))
+            assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]) == code
+        report = json.loads((tmp_path / "d" / "diagnostics.json").read_text())
+        assert report["family"] == "gaussian_rkhs" and report["d"] == 2
+        assert report["xi"]["max"] >= report["xi"]["median"] >= 0
+        assert "unsupported" in capsys.readouterr().err

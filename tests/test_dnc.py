@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dckrr import solver
 from dckrr.dnc import (
@@ -14,7 +16,7 @@ from dckrr.dnc import (
     subsample_for,
     xi_diagnostic,
 )
-from dckrr.solver import krr_fit, predict
+from dckrr.solver import SOLVE_PATHS, krr_fit, predict
 from dckrr.spectra import (
     additive,
     feature_matrix,
@@ -227,3 +229,73 @@ class TestXiDiagnostic:
             part = Partition(assignment=np.arange(n).reshape(1, n), dropped=np.array([], dtype=np.int64))
             vals.append(xi_diagnostic(spec, data, part, lam=1e-2)[0])
         assert vals[1] < vals[0]
+
+
+EPS = np.finfo(np.float64).eps
+
+PROPERTY_SPECS = {
+    "smoothing_spline": smoothing_spline(2, M=64),
+    "periodic_sobolev": periodic_sobolev(2, M=64),
+    "gaussian_rkhs": gaussian_rkhs(1, 1.0),
+}
+
+# A random problem: family, seed, machines, points per machine, log10(lambda).
+problems = st.tuples(
+    st.sampled_from(list(PROPERTY_SPECS)), st.integers(0, 2**32 - 1),
+    st.integers(1, 6), st.integers(6, 14), st.floats(-4.0, -1.0),
+)
+
+
+def _problem(problem):
+    name, seed, s, n, log_lam = problem
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(size=s * n)
+    data = Dataset(xs=xs, ys=np.sin(3.0 * xs) + rng.standard_normal(s * n))
+    return PROPERTY_SPECS[name], data, partition(data, s, seed), 10.0**log_lam
+
+
+class TestProperties:
+    GRID = np.linspace(0, 1, 33)
+
+    @given(problems, st.sampled_from(SOLVE_PATHS), st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_machine_order_does_not_change_the_estimate(self, problem, path, rnd):
+        spec, data, part, lam = _problem(problem)
+        order = list(range(part.s))
+        rnd.shuffle(order)
+        shuffled = Partition(assignment=part.assignment[order], dropped=part.dropped)
+        a = fit_all(spec, data, part, lam, path)
+        b = fit_all(spec, data, shuffled, lam, path)
+        # summing the s machines' values in two orders and dividing by s moves
+        # each entry by at most s * eps * mean|v| (to first order); allow twice that
+        values = np.stack([predict(spec, f, self.GRID) for f in a.fits])
+        coeffs = np.stack([f.mercer_coeffs(spec) for f in a.fits])
+        for x, y, v in ((predict_bar(a, self.GRID), predict_bar(b, self.GRID), values),
+                        (a.coeffs, b.coeffs, coeffs),
+                        (a.beta, b.beta, np.stack([f.beta for f in a.fits]))):
+            assert np.all(np.abs(x - y) <= 2 * part.s * EPS * np.abs(v).mean(axis=0))
+
+    @given(problems, st.sampled_from(SOLVE_PATHS), st.floats(-3, 3, allow_subnormal=False),
+           st.floats(-3, 3, allow_subnormal=False))
+    @settings(max_examples=30, deadline=None)
+    def test_fit_all_is_linear_in_ys(self, problem, path, a, b):
+        spec, data, part, lam = _problem(problem)
+        y2 = np.cos(7.0 * data.xs)
+        fits = [fit_all(spec, Dataset(xs=data.xs, ys=ys), part, lam, path)
+                for ys in (data.ys, y2, a * data.ys + b * y2)]
+        for get in (lambda e: predict_bar(e, self.GRID), lambda e: e.coeffs, lambda e: e.beta):
+            f1, f2, f3 = map(get, fits)
+            # solves with lambda >= 1e-4 on a dozen points are linear to ~1e-12
+            scale = abs(a) * np.max(np.abs(f1), initial=0) + abs(b) * np.max(np.abs(f2), initial=0)
+            np.testing.assert_allclose(f3, a * f1 + b * f2, rtol=0, atol=1e-9 * scale)
+
+    @given(problems)
+    @settings(max_examples=30, deadline=None)
+    def test_solve_paths_agree(self, problem):
+        # both paths fit the same estimator; the Gaussian's exact_gram path uses
+        # the closed-form kernel, which its kept pairs match to about 1e-14
+        spec, data, part, lam = _problem(problem)
+        gram, feature = (fit_all(spec, data, part, lam, path) for path in SOLVE_PATHS)
+        for x, y in ((predict_bar(gram, self.GRID), predict_bar(feature, self.GRID)),
+                     (gram.coeffs, feature.coeffs), (gram.beta, feature.beta)):
+            np.testing.assert_allclose(y, x, rtol=0, atol=1e-9 * np.max(np.abs(x), initial=0))

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 import scipy.special
 
+from dckrr import rates, simlab
 from dckrr.dnc import Dataset, fit_all, partition, predict_bar
 from dckrr.inference import (
-    QUAD_POINTS,
     NormBreakdown,
-    _quad_grid,
     estimate_sigma2,
     inverse_normal_cdf,
     norm_breakdown,
@@ -90,7 +89,7 @@ class TestNormBreakdown:
 
     @pytest.mark.parametrize("s,d", [(2, 1), (8, 1), (8, 2)], ids=["s2-d1", "s8-d1", "s8-d2"])
     def test_gram_route_gaussian(self, s, d):
-        # the Gaussian family has no feature path; norms come from cross-grams
+        # the Mercer norms of a Gaussian exact-gram fit match the closed-form kernel
         rng = np.random.default_rng(4)
         n = 60
         xs = rng.uniform(size=n if d == 1 else (n, d))
@@ -112,10 +111,16 @@ class TestNormBreakdown:
                     @ est.fits[l].alpha
                 )
         assert nb.h_part == pytest.approx(h / s**2, rel=1e-10)
-        # oracle: V-part = midpoint-quadrature mean of predict_bar^2
-        per_axis = QUAD_POINTS if d == 1 else round(QUAD_POINTS ** (1.0 / d))
-        fbar = predict_bar(est, _quad_grid(d, per_axis))
-        assert nb.v_part == pytest.approx(float(np.mean(fbar**2)), rel=1e-10)
+        # oracle: V-part = Gauss-Legendre quadrature of predict_bar^2 on [0, 1]^d
+        x, w = np.polynomial.legendre.leggauss(64)
+        x, w = 0.5 * (x + 1.0), 0.5 * w
+        if d == 1:
+            nodes, weights = x, w
+        else:
+            nodes = np.column_stack([g.ravel() for g in np.meshgrid(x, x, indexing="ij")])
+            weights = np.outer(w, w).ravel()
+        fbar = predict_bar(est, nodes)
+        assert nb.v_part == pytest.approx(float(weights @ fbar**2), rel=1e-10)
         assert nb.v_part > 0
 
     def test_gaussian_route_holds_one_gram_block_at_a_time(self):
@@ -184,6 +189,19 @@ class TestTestStatistic:
             wald_test(est, N=part.N_effective, alpha=0.0)
         with pytest.raises(ValueError):
             wald_test(est, N=part.N_effective, sigma2=-1.0)
+
+    def test_gaussian_null_is_centred(self):
+        # the center sigma^2 h_inv / N uses the Gaussian's eigenvalues under
+        # U[0,1]; with the spectrum of another design the null z drifts to -0.7
+        spec = gaussian_rkhs(1, 1.0)
+        lam = rates.prescribe("gaussian", 0, 1, 64, "testing").lam
+        zs = []
+        for seed in range(60):
+            data = simlab.generate("spline1d", 1024, seed, c=0.0)
+            part = partition(data, 16, seed)
+            est = fit_all(spec, data, part, lam, "exact_gram")
+            zs.append(wald_test(est, N=part.N_effective, sigma2=1.0).z)
+        assert abs(np.mean(zs)) < 0.3
 
 
 class TestEstimateSigma2:

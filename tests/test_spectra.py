@@ -1,5 +1,6 @@
 """Unit tests for the spectra module, oracles first."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dckrr.spectra import (
+    GAUSS_FLOOR,
     M_CAP,
     Spectrum,
     TruncationError,
@@ -55,12 +57,39 @@ class TestEigenvalueLaws:
             assert np.all(mu > 0)
             assert np.all(np.diff(mu) <= 0)
 
-    def test_gaussian_golden_decay(self):
-        spec = gaussian_rkhs(1, M=5)
-        q = (math.sqrt(5) - 1) / 2
-        np.testing.assert_allclose(
-            spec.eigenvalues, [q ** (2 * nu + 1) for nu in range(1, 6)], rtol=1e-15
-        )
+    def test_gaussian_leading_eigenvalues(self):
+        # exp(-(x - y)^2) under U[0,1]: the Nystrom eigenvalues, a cap that
+        # keeps a prefix of them, and a trace of integral K(x, x) dx = 1
+        spec = gaussian_rkhs(1, 1.0)
+        np.testing.assert_allclose(spec.eigenvalues[:4], [0.8648, 0.1262, 8.56e-3, 3.69e-4],
+                                   rtol=5e-4)
+        assert 0.0 <= 1.0 - np.sum(spec.eigenvalues) < 1e-13
+        assert np.array_equal(gaussian_rkhs(1, 1.0, M=4).eigenvalues, spec.eigenvalues[:4])
+        with pytest.raises(TruncationError):
+            spectral_sums(gaussian_rkhs(1, 1.0, M=3), 1e-3)  # discarded mass 1.2e-5
+        # d = 2: the products of the 1-D pairs, largest first
+        mu = spec.eigenvalues
+        lead = gaussian_rkhs(2, 1.0).eigenvalues[:4]
+        np.testing.assert_allclose(lead, [mu[0] ** 2, mu[0] * mu[1], mu[0] * mu[1], mu[1] ** 2],
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [0.4, 1.0, 2.7])
+    def test_gaussian_products_match_the_full_product(self, d, scale):
+        # the pruned product search keeps what sorting every product would keep
+        mu1 = gaussian_rkhs(1, scale).eigenvalues
+        index = np.array(list(itertools.product(range(mu1.shape[0]), repeat=d)))
+        mu = np.prod(mu1[index], axis=1)
+        order = np.argsort(-mu, kind="stable")
+        order = order[mu[order] > GAUSS_FLOOR * mu1[0] ** d]
+        for M in (1, 7, 64, M_CAP):
+            keep = order[:M]
+            assert np.array_equal(gaussian_rkhs(d, scale, M=M).eigenvalues, mu[keep])
+            x = RNG.uniform(size=(5, d))
+            phi1 = feature_matrix(gaussian_rkhs(1, scale), x.reshape(-1)).reshape(5, d, -1)
+            ref = np.prod([phi1[:, k, index[keep, k]] for k in range(d)], axis=0)
+            np.testing.assert_allclose(feature_matrix(gaussian_rkhs(d, scale, M=M), x), ref,
+                                       rtol=1e-13, atol=0)
 
     def test_thin_plate_law(self):
         spec = thin_plate(2, 2, M=5)
@@ -142,35 +171,32 @@ class TestEigenfunctions:
         X = pts[:, 0] if spec.d == 1 else pts
         assert np.array_equal(feature_matrix(spec, X), ref)
 
-    def test_gaussian_hermite_orthogonal(self):
-        # the Hermite system is orthogonal on R with a constant L2 norm
-        # (it is orthonormal under the Gaussian base measure, not Lebesgue)
-        spec = gaussian_rkhs(1, 1.0, M=6)
-        x = np.linspace(-12, 12, 20001)
-        phi = np.column_stack([eval_eigenfunction(spec, nu, x) for nu in range(1, 7)])
-        G = phi.T @ phi * (x[1] - x[0])
-        off = G - np.diag(np.diag(G))
-        assert np.max(np.abs(off)) < 1e-6
-        diag = np.diag(G)
-        np.testing.assert_allclose(diag, diag[0], rtol=1e-9)
-
-    @pytest.mark.parametrize("scale", [1.0, 0.35])
-    def test_gaussian_features_from_one_hermite_pass(self, scale):
-        # one pass of the recurrence collects phi_1..phi_M; every column
-        # equals its own restarted recurrence
-        def restarted(nu, x):
-            t = np.sqrt(2.0 * scale) * x
-            psi_prev = np.zeros_like(t)
-            psi = (scale / np.pi) ** 0.25 * np.exp(-scale * x * x)
-            for j in range(1, nu):
-                psi, psi_prev = t * math.sqrt(2.0 / j) * psi - math.sqrt((j - 1) / j) * psi_prev, psi
-            return psi
-
-        spec = gaussian_rkhs(1, scale, M=64)
-        x = RNG.uniform(-2.0, 2.0, size=301)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("scale", [0.4, 1.0, 2.7])
+    def test_gaussian_v_orthonormal(self, d, scale):
+        # V-orthonormal under an independent 400-node Gauss-Legendre rule, to
+        # the accuracy of the eigenvectors: eps * mu_1 / mu for the smaller pair
+        x, w = np.polynomial.legendre.leggauss(400)
+        x, w = 0.5 * (x + 1.0), 0.5 * w
+        if d == 2:
+            x = np.column_stack([g.ravel() for g in np.meshgrid(x, x, indexing="ij")])
+            w = np.outer(w, w).ravel()
+        spec = gaussian_rkhs(d, scale)
         phi = feature_matrix(spec, x)
-        assert phi.shape == (301, 64)
-        assert np.array_equal(phi, np.column_stack([restarted(nu, x) for nu in range(1, 65)]))
+        G = (phi * w[:, None]).T @ phi
+        mu = spec.eigenvalues
+        tol = 1e3 * np.finfo(np.float64).eps * mu[0] / np.minimum.outer(mu, mu)
+        assert np.all(np.abs(G - np.eye(spec.M)) <= tol)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("scale", [0.4, 0.7, 1.0, 1.5, 2.0, 2.7])
+    def test_gaussian_kernel_rebuilt_from_its_pairs(self, d, scale):
+        # sum_nu mu_nu phi_nu(x) phi_nu(y) is the closed-form kernel, corners included
+        axis = np.r_[0.0, 1.0, RNG.uniform(size=18)]
+        X = axis if d == 1 else np.column_stack([g.ravel() for g in np.meshgrid(axis, axis)])
+        spec = gaussian_rkhs(d, scale)
+        phi = feature_matrix(spec, X)
+        assert np.max(np.abs((phi * spec.eigenvalues) @ phi.T - gram_R(spec, X, X))) <= 1e-12
 
     def test_thin_plate_has_no_eigenfunctions(self):
         spec = thin_plate(2, 2)
