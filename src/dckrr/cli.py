@@ -3,7 +3,9 @@
 Configs and manifests are JSON; tabular results are CSV with dot decimal
 separators, LF line endings, and 17 significant digits. Every run writes a
 ``manifest.json`` listing each output file with its SHA-256 hash, the
-effective config, the artifact version, and wall time. Exit codes: 0 on
+effective config, the artifact version, and wall time; a sweep's also records
+``blas_threads``, the thread count of each OpenBLAS library during its cells
+(``{}`` where none was found). Exit codes: 0 on
 success, 2 on configuration errors, 3 on experiment failures.
 """
 
@@ -22,16 +24,20 @@ import numpy as np
 
 from dckrr import __version__, dnc, rates, simlab
 from dckrr.spectra import (
+    M_CAP,
+    M_DEFAULT,
     TruncationError,
-    truncation_level,
     additive,
     check_prop31_ratio,
     check_tail_sum,
     eval_kernel_K,
     gaussian_rkhs,
     periodic_sobolev,
+    smoothing_spline,
+    smoothing_spline_level,
     spectral_sums,
     thin_plate,
+    truncation_level,
 )
 
 EXIT_OK = 0
@@ -58,7 +64,8 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: str, config: dict, outputs: list[str], seed: int, t0: float) -> None:
+def _write_manifest(out_dir: str, config: dict, outputs: list[str], seed: int, t0: float,
+                    **extra) -> None:
     manifest = {
         "version": __version__,
         "config": config,
@@ -67,6 +74,7 @@ def _write_manifest(out_dir: str, config: dict, outputs: list[str], seed: int, t
         "outputs": {
             os.path.basename(p): {"sha256": _sha256(p)} for p in outputs
         },
+        **extra,
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", newline="\n") as fh:
@@ -142,13 +150,21 @@ def _known_keys(section, prefix: str, keys: dict = SWEEP_KEYS) -> dict:
     return section
 
 
-def _field(section: dict, prefix: str, key: str, kind, default):
+def _field(section: dict, prefix: str, key: str, kind, default, valid=None, need: str = ""):
     """``kind(section[key])``, or ``default`` when absent; a value ``kind``
-    rejects is a config error naming the field."""
+    rejects, or one for which ``valid`` is false, is a config error naming
+    the field."""
     try:
-        return kind(section[key]) if key in section else default
+        value = kind(section[key]) if key in section else default
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{prefix}{key}: {exc}") from exc
+    if valid is not None and not valid(value):
+        raise ConfigError(f"{prefix}{key} must be {need}, got {section.get(key, value)!r}")
+    return value
+
+
+def _positive(x) -> bool:
+    return 0 < x < math.inf
 
 
 def _sweep_config(cfg: dict) -> simlab.SweepConfig:
@@ -214,7 +230,8 @@ def cmd_sweep(args) -> int:
                 )
                 + "\n"
             )
-    _write_manifest(args.out, dataclasses.asdict(cfg), [csv_path], cfg.base_seed, t0)
+    _write_manifest(args.out, dataclasses.asdict(cfg), [csv_path], cfg.base_seed, t0,
+                    blas_threads=result.blas_threads)
     print(f"wrote {csv_path} ({len(result.cells)} rows)")
     return EXIT_OK
 
@@ -239,22 +256,39 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
+DIAGNOSE_FAMILIES = ("spline", "periodic_sobolev", "additive", "gaussian", "gaussian_rkhs",
+                     "thin_plate")
+
+
 def _diag_spectrum(cfg: dict, lam_grid: list[float]):
+    """The spectrum a diagnose config names, resolved at the finest ``lambda``
+    of the grid: ``spline`` is the smoothing spline that ``spline1d`` sweeps
+    fit, ``periodic_sobolev`` the periodic family."""
     cfg = _known_keys(cfg, "spectrum.", DIAGNOSE_KEYS)
     fam = cfg.get("family", "spline")
-    m, d = _field(cfg, "spectrum.", "m", int, 2), _field(cfg, "spectrum.", "d", int, 1)
-    kw = {"M": _field(cfg, "spectrum.", "M", int, None)} if "M" in cfg else {}
-    if not kw and fam in ("spline", "periodic_sobolev", "additive"):
-        kw["M"] = truncation_level(m, min(lam_grid), d)  # resolve the finest lambda in the grid
-    if fam in ("spline", "periodic_sobolev"):
-        return periodic_sobolev(m, **kw)
-    if fam == "additive":
-        return additive(m, d, **kw)
-    if fam in ("gaussian", "gaussian_rkhs"):
-        return gaussian_rkhs(d, _field(cfg, "spectrum.", "scale", float, 1.0), **kw)
-    if fam == "thin_plate":
-        return thin_plate(m, d, **kw)
-    raise ConfigError(f"unknown family {fam!r}")
+    if fam not in DIAGNOSE_FAMILIES:
+        raise ConfigError(f"unknown family {fam!r}")
+    at_least_1 = dict(valid=lambda v: v >= 1, need=">= 1")
+    m = _field(cfg, "spectrum.", "m", int, 2, **at_least_1)
+    d = _field(cfg, "spectrum.", "d", int, 1, **at_least_1)
+    M = _field(cfg, "spectrum.", "M", int, None, **at_least_1) if "M" in cfg else None
+    scale = _field(cfg, "spectrum.", "scale", float, 1.0, _positive, "positive")
+    lam = min(lam_grid)
+    try:
+        if fam == "spline":
+            spec = smoothing_spline(m, M or smoothing_spline_level(m, lam))
+        elif fam == "periodic_sobolev":
+            spec = periodic_sobolev(m, M or truncation_level(m, lam))
+        elif fam == "additive":
+            spec = additive(m, d, M or truncation_level(m, lam, d))
+        elif fam == "thin_plate":
+            spec = thin_plate(m, d, M or M_DEFAULT)
+        else:
+            spec = gaussian_rkhs(d, scale, M or M_CAP)
+        spectral_sums(spec, lam)  # a level that resolves the finest lambda resolves all
+    except ValueError as exc:  # the family's own limits, TruncationError included
+        raise ConfigError(f"spectrum: {exc}") from exc
+    return spec
 
 
 def cmd_diagnose(args) -> int:
@@ -263,14 +297,17 @@ def cmd_diagnose(args) -> int:
         raw = _load_config(args) if (args.config or args.preset) else {}
         raw = _known_keys(raw, "", DIAGNOSE_KEYS)
         lam_grid = _field(raw, "", "lambda_grid", lambda v: [float(x) for x in v],
-                          [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+                          [1e-2, 1e-3, 1e-4, 1e-5, 1e-6],
+                          lambda g: bool(g) and all(map(_positive, g)), "positive and nonempty")
+        seed = _field(raw, "", "base_seed", int, 0, lambda v: v >= 0, ">= 0")
         spec = _diag_spectrum(raw.get("spectrum", {}), lam_grid)
         xi = raw.get("xi")
         if xi:
             xi = _known_keys(xi, "xi.", DIAGNOSE_KEYS)
-            N, s = _field(xi, "xi.", "N", int, 1024), _field(xi, "xi.", "s", int, 4)
-            lam = _field(xi, "xi.", "lambda", float, lam_grid[0])
-            seed = _field(xi, "xi.", "seed", int, 0)
+            N = _field(xi, "xi.", "N", int, 1024, lambda v: v >= 1, ">= 1")
+            s = _field(xi, "xi.", "s", int, 4, lambda v: 1 <= v <= N, f"in 1..{N}")
+            xi_lam = _field(xi, "xi.", "lambda", float, lam_grid[0], _positive, "positive")
+            xi_seed = _field(xi, "xi.", "seed", int, 0, lambda v: v >= 0, ">= 0")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -303,13 +340,13 @@ def cmd_diagnose(args) -> int:
             )
             return EXIT_CONFIG
         model = "spline1d" if spec.d == 1 else "additive2d"
-        data = simlab.generate(model, N, seed, c=0.0)
-        part = dnc.partition(data, s, seed)
-        xis = dnc.xi_diagnostic(spec, data, part, lam)
+        data = simlab.generate(model, N, xi_seed, c=0.0)
+        part = dnc.partition(data, s, xi_seed)
+        xis = dnc.xi_diagnostic(spec, data, part, xi_lam)
         report["xi"] = {
             "N": N,
             "s": s,
-            "lambda": lam,
+            "lambda": xi_lam,
             "max": float(np.max(xis)),
             "median": float(np.median(xis)),
         }
@@ -318,7 +355,7 @@ def cmd_diagnose(args) -> int:
     with open(path, "w", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args.out, raw, [path], int(raw.get("base_seed", 0)), t0)
+    _write_manifest(args.out, raw, [path], seed, t0)
     print(f"wrote {path}")
     return EXIT_OK
 

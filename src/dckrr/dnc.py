@@ -4,7 +4,12 @@
 size ``n = floor(N/s)`` (the remainder is dropped and recorded). ``fit_all``
 fits each machine independently — optionally on a thread pool; results are
 folded in machine order so the estimate is bitwise independent of the
-worker count — and averages them into a :class:`DncEstimate`.
+worker count — and averages them into a :class:`DncEstimate`. An
+``exact_gram`` fit keeps its basis at its design points, so the estimate's
+coefficients, :func:`predict_bar` and the plug-in variance read it instead of
+evaluating it again. The bits also depend on the BLAS thread count, which
+:func:`~dckrr.simlab.run_sweep` fixes at one; outside a sweep it is the
+caller's.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dckrr.dnc import Dataset, DncEstimate, Partition, subsample_for
-from dckrr.solver import predict, smoother_trace
+from dckrr.solver import _fitted_and_gram, _trace
 from dckrr.spectra import Spectrum, spectral_sums
 
 __all__ = [
@@ -120,7 +120,10 @@ def estimate_sigma2(est: DncEstimate, data: Dataset, part: Partition) -> float:
     ``sigma2_hat = sum_j RSS_j / sum_j (n - df_j)`` with per-machine degrees
     of freedom ``df_j = trace of the ridge smoother`` (plus one for each
     unpenalized null-space function). Both solve paths fit the same
-    estimator, so either path's fits serve.
+    estimator, so either path's fits serve. ``est`` must be fitted on
+    ``(data, part)``. Each machine's gram ``R_n`` is formed once and gives both
+    its fitted values and its trace, with the float operations of
+    :func:`~dckrr.solver.predict` and :func:`~dckrr.solver.smoother_trace`.
     """
     spec, lam = est.spec, est.lam
     rss = 0.0
@@ -128,9 +131,10 @@ def estimate_sigma2(est: DncEstimate, data: Dataset, part: Partition) -> float:
     extra = float(spec.null_dim)
     for j, fit in enumerate(est.fits):
         sub = subsample_for(data, part, j)
-        resid = sub.ys - predict(spec, fit, sub.xs)
+        fitted, Rn = _fitted_and_gram(spec, fit, sub)
+        resid = sub.ys - fitted
         rss += float(resid @ resid)
-        dof += sub.n - smoother_trace(spec, sub, lam) - extra
+        dof += sub.n - _trace(Rn, lam) - extra
     if dof <= 0:
         raise ValueError("nonpositive residual degrees of freedom")
     return rss / dof

@@ -12,13 +12,18 @@ uses the additive periodic Sobolev family. A sweep runs a grid of
 ``(N, rho)`` cells with ``s = round(N^rho)`` machines, replicated over
 seeds; each replication reports the grid MSE of the averaged estimate and
 the outcome of the Wald-type test. Replication ``r`` uses seed
-``base_seed + r`` on a counter-based generator, so results are independent
-of execution order and worker count.
+``base_seed + r`` on a counter-based generator, and a sweep runs every
+OpenBLAS in the process on one thread, so results are independent of
+execution order, worker count and the host's core count. Replications run on
+``workers`` threads, the sweep's only parallelism.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -111,8 +116,10 @@ class SweepConfig:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        if self.m < 2:
+            # with mu_k ~ k^-2 the truncation rule needs more than M_CAP
+            # eigenfunctions for any lambda below about 1e-2
+            raise ValueError(f"m must be >= 2, got {self.m}")
         if self.model == "spline1d" and self.m not in SMOOTHING_SPLINE_ORDERS:
             raise ValueError(
                 f"m={self.m} is not supported for spline1d: its W^m[0,1] "
@@ -149,8 +156,12 @@ class CellResult:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """The cells of a sweep, and the thread count of each OpenBLAS library,
+    by file name, while they ran (empty where none was found)."""
+
     config: SweepConfig
     cells: tuple[CellResult, ...] = field(default_factory=tuple)
+    blas_threads: dict[str, int] = field(default_factory=dict)
 
 
 def signal(model: str, X: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -236,6 +247,111 @@ def _run_replication(cfg: SweepConfig, N: int, s: int, lam: float, spec: Spectru
     return mse, 1.0 if report.reject else 0.0
 
 
+# (get, set) thread-count symbols of an OpenBLAS build, tried in order
+OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")
+)
+
+
+def _openblas_libraries() -> dict[str, tuple]:
+    """``name -> (get, set)`` thread-count functions of each OpenBLAS library
+    mapped into this process, by file name; empty where there is none or
+    ``/proc/self/maps`` is missing (MKL, macOS)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln and "/" in ln})
+    except OSError:
+        return {}
+    found = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping that is not a loadable library
+            continue
+        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found[os.path.basename(path)] = (get, put)
+                break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS library on one thread, and restore
+    each library's count afterwards, also on an exception. Yields the counts
+    in force, by file name. A BLAS other than OpenBLAS is left alone.
+
+    NumPy's ``X.T @ X`` and SciPy's ``cho_factor`` give different bits on one
+    and two threads, so one thread makes a sweep's bytes independent of the
+    host's core count; and each solve is too small to gain from more."""
+    libs = _openblas_libraries()
+    before = {name: get() for name, (get, _) in libs.items()}
+    try:
+        for _, put in libs.values():
+            put(1)
+        yield {name: get() for name, (get, _) in libs.items()}
+    finally:
+        for name, (_, put) in libs.items():
+            put(before[name])
+
+
+def _run_cell(cfg: SweepConfig, N: int, rho: float) -> CellResult:
+    t0 = time.perf_counter()
+    s = max(1, math.floor(N**rho + 0.5))
+    n = N // s
+    lam = _cell_lambda(cfg, n)
+    spec = _spectrum_for(cfg, lam)
+    seeds = [cfg.base_seed + r for r in range(cfg.replications)]
+
+    def one(seed):
+        try:
+            return _run_replication(cfg, N, s, lam, spec, seed)
+        except (ArithmeticError, ValueError, RuntimeError) as exc:
+            return exc  # a numerical failure: recorded, not fatal
+
+    if cfg.workers > 1:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            outcomes = list(pool.map(one, seeds))
+    else:
+        outcomes = [one(seed) for seed in seeds]
+
+    mses, rejects, failures = [], [], 0
+    for out in outcomes:  # ordered fold
+        if isinstance(out, Exception):
+            failures += 1
+            continue
+        mses.append(out[0])
+        rejects.append(out[1])
+    if failures > 0.1 * cfg.replications:
+        raise SweepError(
+            f"cell N={N}, rho={rho}: {failures}/{cfg.replications} "
+            f"replications failed"
+        )
+    if failures:
+        warnings.warn(
+            f"cell N={N}, rho={rho}: {failures} replications failed",
+            UserWarning,
+        )
+    mses_a = np.array(mses)
+    rej_a = np.array(rejects)
+    k = len(mses_a)
+    return CellResult(
+        N=N, rho=rho, s=s, n=n, lam=lam,
+        mse_mean=float(mses_a.mean()),
+        mse_stderr=float(mses_a.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0,
+        reject_rate=float(rej_a.mean()),
+        reject_stderr=float(rej_a.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0,
+        reps=k,
+        dropped=N - s * n,
+        failures=failures,
+        wall_time=time.perf_counter() - t0,
+    )
+
+
 def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     """Run the full (N, rho) grid.
 
@@ -247,60 +363,13 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     :class:`SweepError`. Any other exception is a programming error and
     propagates. Aggregation is an ordered fold over the
     replication index, so the result is identical for any worker count.
+
+    The cells run with every OpenBLAS library in the process on one thread;
+    each library's previous count is restored on return and on an
+    exception. The counts are process-wide, so other BLAS work in the process
+    meanwhile runs on one thread too. ``cfg.workers`` threads run the
+    replications, the sweep's only parallelism.
     """
-    cells = []
-    for N in cfg.N_list:
-        for rho in cfg.rho_list:
-            t0 = time.perf_counter()
-            s = max(1, math.floor(N**rho + 0.5))
-            n = N // s
-            lam = _cell_lambda(cfg, n)
-            spec = _spectrum_for(cfg, lam)
-            seeds = [cfg.base_seed + r for r in range(cfg.replications)]
-
-            def one(seed, _N=N, _s=s, _lam=lam, _spec=spec):
-                try:
-                    return _run_replication(cfg, _N, _s, _lam, _spec, seed)
-                except (ArithmeticError, ValueError, RuntimeError) as exc:
-                    return exc  # a numerical failure: recorded, not fatal
-
-            if cfg.workers > 1:
-                with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                    outcomes = list(pool.map(one, seeds))
-            else:
-                outcomes = [one(seed) for seed in seeds]
-
-            mses, rejects, failures = [], [], 0
-            for out in outcomes:  # ordered fold
-                if isinstance(out, Exception):
-                    failures += 1
-                    continue
-                mses.append(out[0])
-                rejects.append(out[1])
-            if failures > 0.1 * cfg.replications:
-                raise SweepError(
-                    f"cell N={N}, rho={rho}: {failures}/{cfg.replications} "
-                    f"replications failed"
-                )
-            if failures:
-                warnings.warn(
-                    f"cell N={N}, rho={rho}: {failures} replications failed",
-                    UserWarning,
-                )
-            mses_a = np.array(mses)
-            rej_a = np.array(rejects)
-            k = len(mses_a)
-            cells.append(
-                CellResult(
-                    N=N, rho=rho, s=s, n=n, lam=lam,
-                    mse_mean=float(mses_a.mean()),
-                    mse_stderr=float(mses_a.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0,
-                    reject_rate=float(rej_a.mean()),
-                    reject_stderr=float(rej_a.std(ddof=1) / math.sqrt(k)) if k > 1 else 0.0,
-                    reps=k,
-                    dropped=N - s * n,
-                    failures=failures,
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
-    return ExperimentResult(config=cfg, cells=tuple(cells))
+    with _one_blas_thread() as blas_threads:
+        cells = tuple(_run_cell(cfg, N, rho) for N in cfg.N_list for rho in cfg.rho_list)
+    return ExperimentResult(config=cfg, cells=cells, blas_threads=blas_threads)

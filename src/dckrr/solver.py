@@ -61,7 +61,10 @@ class MachineFit:
     path, ``anchors`` are the training points and ``alpha`` the representer
     coefficients; ``f = <beta, t> + sum_i alpha_i R(x_i, .)``. For the
     ``truncated_feature`` path, ``theta`` holds coefficients in the scaled
-    basis ``sqrt(mu_nu) phi_nu``.
+    basis ``sqrt(mu_nu) phi_nu``. An ``exact_gram`` fit keeps ``features =
+    feature_matrix(spec, anchors)``, which its coefficients, predictions and
+    residuals read instead of evaluating the basis again; a Gaussian fit keeps
+    none, since its predictions use the closed-form gram.
     """
 
     lam: float
@@ -70,6 +73,7 @@ class MachineFit:
     anchors: NDArray[np.float64] | None = None
     alpha: NDArray[np.float64] | None = None
     theta: NDArray[np.float64] | None = field(default=None, repr=False)
+    features: NDArray[np.float64] | None = field(default=None, repr=False)
 
     @property
     def intercept(self) -> float:
@@ -80,8 +84,14 @@ class MachineFit:
         """Coefficients ``c_nu = V(f, phi_nu)`` for the finite eigenpairs."""
         if self.solve_path == "truncated_feature":
             return self.theta * np.sqrt(spec.eigenvalues)
-        phi = feature_matrix(spec, self.anchors)
+        phi = self.features if self.features is not None else feature_matrix(spec, self.anchors)
         return spec.eigenvalues * (phi.T @ self.alpha)
+
+
+def _anchor_gram(spec: Spectrum, xs: NDArray[np.float64], F: NDArray[np.float64] | None):
+    """``gram_R(spec, xs, xs)``, formed from ``F = feature_matrix(spec, xs)``
+    with the same float operations when ``F`` is given."""
+    return gram_R(spec, xs, xs) if F is None else (F * spec.eigenvalues) @ F.T
 
 
 def _solve_spd(A: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -103,8 +113,9 @@ def krr_fit(spec: Spectrum, sub: Subsample, lam: float, solve_path: str = "exact
     y = sub.ys
     q = spec.null_dim
     if solve_path == "exact_gram":
-        Rn = gram_R(spec, sub.xs, sub.xs)
-        A = Rn + n * lam * np.eye(n)
+        # the Gaussian predicts from the closed-form gram, so keeps no basis
+        F = None if spec.family == "gaussian_rkhs" else feature_matrix(spec, sub.xs)
+        A = _anchor_gram(spec, sub.xs, F) + n * lam * np.eye(n)
         if q:
             # KKT system for the unpenalized null space: T'alpha = 0
             T = null_basis(spec, sub.xs)
@@ -119,7 +130,7 @@ def krr_fit(spec: Spectrum, sub: Subsample, lam: float, solve_path: str = "exact
             alpha, beta = _solve_spd(A, y), np.zeros(0)
         return MachineFit(
             lam=lam, solve_path=solve_path, beta=beta,
-            anchors=sub.xs, alpha=alpha,
+            anchors=sub.xs, alpha=alpha, features=F,
         )
     if solve_path == "truncated_feature":
         if not spec.has_eigenfunctions:
@@ -146,14 +157,15 @@ def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArr
     Only the scaled basis a solve path multiplies by is built, on first use
     and in place: ``phi * sqrt(mu)`` for ``truncated_feature`` and
     ``phi * mu`` (the left factor of :func:`~dckrr.spectra.gram_R`) for
-    ``exact_gram``. Each fit's values are bit-identical to evaluating it
-    alone. Gaussian ``exact_gram`` fits use the closed-form ``gram_R``.
+    ``exact_gram``, whose right factor is the fit's kept ``features``. Each
+    fit's values are bit-identical to evaluating it alone. ``exact_gram``
+    fits without ``features`` (the Gaussian) use the closed-form ``gram_R``.
     """
     X = np.asarray(X, dtype=np.float64)
     null = null_basis(spec, X)
     scaled = {}  # solve path -> scaled basis at X
     for fit in fits:
-        if spec.family == "gaussian_rkhs" and fit.solve_path == "exact_gram":
+        if fit.solve_path == "exact_gram" and fit.features is None:
             yield null @ fit.beta + gram_R(spec, X, fit.anchors) @ fit.alpha
             continue
         if fit.solve_path not in scaled:
@@ -161,7 +173,7 @@ def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArr
             F *= spec.eigenvalues if fit.solve_path == "exact_gram" else np.sqrt(spec.eigenvalues)
             scaled[fit.solve_path] = F
         if fit.solve_path == "exact_gram":
-            R = scaled[fit.solve_path] @ feature_matrix(spec, fit.anchors).T
+            R = scaled[fit.solve_path] @ fit.features.T
             yield null @ fit.beta + R @ fit.alpha
         else:
             yield null @ fit.beta + scaled[fit.solve_path] @ fit.theta
@@ -176,8 +188,23 @@ def smoother_trace(spec: Spectrum, sub: Subsample, lam: float) -> float:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    n = sub.n
-    Rn = gram_R(spec, sub.xs, sub.xs)
+    return _trace(gram_R(spec, sub.xs, sub.xs), lam)
+
+
+def _trace(Rn: NDArray[np.float64], lam: float) -> float:
+    """``trace(R_n (R_n + n*lam*I)^{-1})`` of an ``n x n`` gram."""
     eig = np.linalg.eigvalsh(Rn)
     eig = np.clip(eig, 0.0, None)  # guard tiny negative roundoff
-    return float(np.sum(eig / (eig + n * lam)))
+    return float(np.sum(eig / (eig + Rn.shape[0] * lam)))
+
+
+def _fitted_and_gram(spec: Spectrum, fit: MachineFit, sub: Subsample):
+    """A fit's values at its own subsample and the gram ``R_n`` there, equal to
+    ``predict(spec, fit, sub.xs)`` and ``gram_R(spec, sub.xs, sub.xs)``. An
+    ``exact_gram`` fit's ``R_n`` is formed from its kept ``features`` (in
+    closed form for the Gaussian), and its values are ``null @ beta + R_n @
+    alpha``."""
+    if fit.solve_path == "truncated_feature":
+        return predict(spec, fit, sub.xs), gram_R(spec, sub.xs, sub.xs)
+    Rn = _anchor_gram(spec, fit.anchors, fit.features)
+    return null_basis(spec, sub.xs) @ fit.beta + Rn @ fit.alpha, Rn

@@ -155,6 +155,8 @@ def _level(make, m: int, lam: float, unit: int) -> int:
     normalization — and doubles ``M`` until the tail of ``h_inv`` beyond it
     is within the tolerance that :func:`spectral_sums` enforces.
     """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     if lam <= 0:
         raise ValueError("lam must be positive")
     t = lam / make(unit).mu1

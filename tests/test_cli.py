@@ -4,12 +4,16 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 from dckrr import cli, rates, simlab
 from dckrr.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, main
+from dckrr.spectra import smoothing_spline_level, truncation_level
 
 
 def _write_config(tmp_path, **overrides):
@@ -70,6 +74,38 @@ class TestSweepCommand:
             assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", str(w)]) == EXIT_OK
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_manifest_records_blas_threads(self, tmp_path):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {name: 1 for name in simlab._openblas_libraries()}
+
+    @pytest.mark.parametrize("cell", [
+        {"model": "spline1d", "N_list": [8192], "rho_list": [0.2], "replications": 4,
+         "base_seed": 4, "lambda": {"source": "rates", "task": "estimation"}},
+        {"model": "additive2d", "N_list": [768], "rho_list": [0.4], "replications": 2,
+         "base_seed": 0, "lambda": {"source": "rates", "task": "estimation"},
+         "sigma2": {"mode": "plugin", "value": 1.0}, "solve_path": "exact_gram"},
+    ], ids=["spline1d-s6", "additive2d-plugin-gram"])
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, cell):
+        # Without one BLAS thread in the sweep, these cells' sweep.csv differ
+        # in the 17th digit between OPENBLAS_NUM_THREADS=1 and =2 on a
+        # multi-core host: X.T @ X and cho_factor round differently.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(cell, c=1.0)))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        blobs = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            subprocess.run([sys.executable, "-m", "dckrr.cli", "sweep", "--config", str(cfg),
+                            "--out", str(out)], env=env, check=True, timeout=300,
+                           stdout=subprocess.DEVNULL)
+            blobs.append((out / "sweep.csv").read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_seed_override(self, tmp_path):
         cfg = _write_config(tmp_path)
@@ -196,13 +232,30 @@ class TestDiagnoseCommand:
         cfg.write_text(json.dumps({"lambda_grid": [1e-2, 1e-3, 1e-4]}))
         assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         report = json.loads((out / "diagnostics.json").read_text())
-        assert report["family"] == "periodic_sobolev"
+        # the default "spline" is the smoothing spline that spline1d sweeps fit
+        assert report["family"] == "smoothing_spline"
+        assert report["M"] == smoothing_spline_level(2, 1e-4)
         assert 0 < report["tail_sum_sup"] < 1.2
         ratios = list(report["prop31_ratios"].values())
         assert all(0.2 <= r <= 1.0 for r in ratios)
-        assert report["kernel_bound"]["ok"] is True
+        # the W^2 null space and beam modes reach about 4 h_inv at the ends of [0, 1]
+        assert report["kernel_bound"]["ok"] is False
+        assert report["kernel_bound"]["max_K_xx"] < 4.0 * report["kernel_bound"]["h_inv"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert "diagnostics.json" in manifest["outputs"]
+
+    def test_periodic_sobolev_by_name(self, tmp_path):
+        out = tmp_path / "d"
+        cfg = tmp_path / "diag.json"
+        cfg.write_text(json.dumps({"lambda_grid": [1e-2, 1e-3, 1e-4],
+                                   "spectrum": {"family": "periodic_sobolev"}}))
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "diagnostics.json").read_text())
+        assert report["family"] == "periodic_sobolev"
+        assert report["M"] == truncation_level(2, 1e-4)
+        assert 0 < report["tail_sum_sup"] < 1.2
+        assert all(0.2 <= r <= 1.0 for r in report["prop31_ratios"].values())
+        assert report["kernel_bound"]["ok"] is True
 
     def test_xi_summary(self, tmp_path):
         out = tmp_path / "d"
@@ -238,8 +291,21 @@ class TestDiagnoseCommand:
         ({"lambda_grid": ["small"]}, "lambda_grid"),
         ({"xi": {"N": "many"}}, "xi.N"),
         ({"xi": {"n": 64}}, "xi.n"),
+        ({"xi": {"N": 64, "s": 100}}, "xi.s"),
+        ({"spectrum": {"m": 0}}, "spectrum.m"),
+        ({"spectrum": {"family": "spline", "m": 3}}, "m=3"),
+        ({"spectrum": {"M": 0}}, "spectrum.M"),
+        ({"spectrum": {"M": 4}}, "M=4"),
+        ({"spectrum": {"family": "gaussian", "scale": -1.0}}, "spectrum.scale"),
+        ({"lambda_grid": []}, "lambda_grid"),
+        ({"lambda_grid": [1e-3, 0.0]}, "lambda_grid"),
+        ({"xi": {"lambda": 0.0}}, "xi.lambda"),
+        ({"xi": {"seed": -1}}, "xi.seed"),
+        ({"base_seed": "x"}, "base_seed"),
     ], ids=["m-two", "scale-wide", "famly", "lambda_grd", "lambda_grid-str",
-            "xi.N-many", "xi.n"])
+            "xi.N-many", "xi.n", "xi.s-above-N", "m-0", "spline-m-3", "M-0", "M-too-coarse",
+            "scale-negative", "lambda_grid-empty", "lambda_grid-0", "xi.lambda-0",
+            "xi.seed-negative", "base_seed-str"])
     def test_bad_field_fails_fast_naming_it(self, tmp_path, capsys, cfg, field):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps(cfg))

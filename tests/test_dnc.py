@@ -184,6 +184,18 @@ class TestPredictBar:
         for f in est.fits:
             assert np.array_equal(predict(spec, f, grid), _lone_predict(spec, f, grid))
 
+    @pytest.mark.parametrize("case", list(PREDICT_BAR_CASES))
+    def test_coeffs_equal_the_anchor_formula(self, case):
+        # an exact_gram fit's kept basis gives the bits of evaluating it again
+        spec, est, _ = self._fit(case)
+        mu = spec.eigenvalues
+        per_machine = [
+            mu * (feature_matrix(spec, f.anchors).T @ f.alpha) if f.solve_path == "exact_gram"
+            else f.theta * np.sqrt(mu)
+            for f in est.fits
+        ]
+        assert np.array_equal(est.coeffs, sum(per_machine, np.zeros(spec.M)) / est.s)
+
     @pytest.mark.parametrize("case", ["smoothing_spline-truncated_feature", "periodic_sobolev-exact_gram"])
     def test_evaluates_the_basis_at_X_once(self, case, monkeypatch):
         spec, est, grid = self._fit(case)

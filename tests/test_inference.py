@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 
 from dckrr import rates, simlab
-from dckrr.dnc import Dataset, fit_all, partition, predict_bar
+from dckrr.dnc import Dataset, fit_all, partition, predict_bar, subsample_for
 from dckrr.inference import (
     NormBreakdown,
     estimate_sigma2,
@@ -17,7 +17,9 @@ from dckrr.inference import (
     separation,
     test_statistic as wald_test,
 )
+from dckrr.solver import predict, smoother_trace
 from dckrr.spectra import (
+    additive,
     gaussian_rkhs,
     gram_R,
     periodic_sobolev,
@@ -225,6 +227,31 @@ class TestEstimateSigma2:
             for path in ("exact_gram", "truncated_feature")
         )
         assert feature == pytest.approx(gram, rel=1e-12)
+
+    @pytest.mark.parametrize("path", ["exact_gram", "truncated_feature"])
+    @pytest.mark.parametrize("make_spec, d", [
+        (lambda: periodic_sobolev(2, M=32), 1),
+        (lambda: smoothing_spline(2, M=32), 1),
+        (lambda: additive(2, 2, M=40), 2),
+        (lambda: gaussian_rkhs(1, 1.0, M=16), 1),
+    ], ids=["periodic", "spline", "additive", "gaussian"])
+    def test_equals_predict_and_smoother_trace(self, make_spec, d, path):
+        # the gram formed once per machine gives the same bits as predicting
+        # at the subsample and taking the smoother's trace separately
+        spec, lam = make_spec(), 1e-3
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(size=(60, d)) if d > 1 else rng.uniform(size=60)
+        data = Dataset(xs=xs, ys=np.sin(3.0 * (xs if d == 1 else xs[:, 0]))
+                       + rng.standard_normal(60))
+        part = partition(data, s=4, seed=5)
+        est = fit_all(spec, data, part, lam=lam, solve_path=path)
+        rss, dof = 0.0, 0.0
+        for j, fit in enumerate(est.fits):
+            sub = subsample_for(data, part, j)
+            resid = sub.ys - predict(spec, fit, sub.xs)
+            rss += float(resid @ resid)
+            dof += sub.n - smoother_trace(spec, sub, lam) - float(spec.null_dim)
+        assert estimate_sigma2(est, data, part) == rss / dof
 
 
 class TestSeparation:

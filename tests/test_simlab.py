@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from dckrr import dnc, rates, simlab
+from dckrr import dnc, inference, rates, simlab, solver, spectra
 from dckrr.inference import test_statistic as wald_test
 from dckrr.simlab import (
+    MODELS,
     SweepConfig,
     SweepError,
     generate,
@@ -115,8 +116,13 @@ class TestSweepConfig:
     def test_spline1d_rejects_orders_without_smoothing_spline(self):
         with pytest.raises(ValueError, match="m=3"):
             SweepConfig(model="spline1d", m=3)
-        SweepConfig(model="spline1d", m=1)
         SweepConfig(model="additive2d", m=3)  # the periodic additive family takes any m
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_rejects_m_1(self, model):
+        # with mu_k ~ k^-2 every realistic cell would fail with TruncationError
+        with pytest.raises(ValueError, match=r"\bm must be >= 2"):
+            SweepConfig(model=model, m=1)
 
     def test_spline1d_fitted_in_smoothing_spline_family(self):
         spec = simlab._spectrum_for(SweepConfig(model="spline1d"), 1e-6)
@@ -226,3 +232,68 @@ class TestRunSweep:
         )
         result = run_sweep(cfg)
         assert 0.0 <= result.cells[0].reject_rate <= 1.0
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def libs(self):
+        libs = simlab._openblas_libraries()
+        if not libs:
+            pytest.skip("no OpenBLAS library in this process")
+        before = {name: get() for name, (get, _) in libs.items()}
+        for _, put in libs.values():
+            put(2)  # a count other than one, which the sweep must restore
+        yield libs
+        for name, (_, put) in libs.items():
+            put(before[name])
+
+    @staticmethod
+    def _counts(libs):
+        return {name: get() for name, (get, _) in libs.items()}
+
+    def _spy(self, libs, monkeypatch, fail: bool):
+        seen, orig = [], simlab._run_replication
+
+        def spy(*args):
+            seen.append(self._counts(libs))
+            if fail:
+                raise RuntimeError("synthetic failure")
+            return orig(*args)
+
+        monkeypatch.setattr(simlab, "_run_replication", spy)
+        return seen
+
+    def test_one_thread_in_cells_restored_after_return(self, libs, monkeypatch):
+        seen = self._spy(libs, monkeypatch, fail=False)
+        result = run_sweep(SweepConfig(N_list=(64,), rho_list=(0.3,), replications=2, workers=2))
+        ones = {name: 1 for name in libs}
+        assert seen == [ones, ones] and result.blas_threads == ones
+        assert self._counts(libs) == {name: 2 for name in libs}
+
+    def test_restored_after_sweep_error(self, libs, monkeypatch):
+        seen = self._spy(libs, monkeypatch, fail=True)
+        with pytest.raises(SweepError):
+            run_sweep(SweepConfig(N_list=(64,), rho_list=(0.3,), replications=2))
+        assert seen == [{name: 1 for name in libs}] * 2
+        assert self._counts(libs) == {name: 2 for name in libs}
+
+
+def test_additive_plugin_replication_evaluates_each_basis_once(monkeypatch):
+    # one feature_matrix per machine in krr_fit, which the fit keeps for its
+    # coefficients, predictions and residuals, and one at the MSE grid
+    cfg = SweepConfig(model="additive2d", N_list=(512,), rho_list=(0.4,), replications=1,
+                      sigma2_mode="plugin", solve_path="exact_gram", lambda_task="estimation")
+    s = max(1, math.floor(512**0.4 + 0.5))
+    lam = simlab._cell_lambda(cfg, 512 // s)
+    spec = simlab._spectrum_for(cfg, lam)
+    calls, real = [], spectra.feature_matrix
+
+    def counting(spec_, X):
+        calls.append(np.shape(X))
+        return real(spec_, X)
+
+    for module in (spectra, solver, dnc, inference):
+        if hasattr(module, "feature_matrix"):
+            monkeypatch.setattr(module, "feature_matrix", counting)
+    simlab._run_replication(cfg, 512, s, lam, spec, seed=0)
+    assert len(calls) == s + 1
