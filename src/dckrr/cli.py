@@ -291,6 +291,19 @@ def _diag_spectrum(cfg: dict, lam_grid: list[float]):
     return spec
 
 
+def _basis_sup_sq(spec) -> float | None:
+    """``sup phi(x)^2`` over ``[0, 1]^d`` and the family's basis, null space
+    included, so that ``K(x, x) <= sup * h_inv``: 4 for the ``W^2`` smoothing
+    spline (beam modes are 2 at the ends, and ``3 (2x - 1)^2 <= 3``), 2 for
+    the ``sqrt(2)`` sin/cos bases. The Gaussian's Nyström eigenfunctions
+    have no uniform bound (``None``)."""
+    if spec.family == "smoothing_spline" and spec.m == 2:
+        return 4.0
+    if spec.family in ("smoothing_spline", "periodic_sobolev", "additive"):
+        return 2.0
+    return None
+
+
 def cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     try:
@@ -326,11 +339,13 @@ def cmd_diagnose(args) -> int:
         grid = (np.arange(256) + 0.5) / 256
         pts = grid.reshape(-1, 1) if spec.d == 1 else np.column_stack([grid] * spec.d)
         kxx = max(eval_kernel_K(spec, lam0, p, p) for p in pts)
+        h_inv = spectral_sums(spec, lam0).h_inv
+        sup = _basis_sup_sq(spec)
         report["kernel_bound"] = {
             "lambda": lam0,
             "max_K_xx": kxx,
-            "h_inv": spectral_sums(spec, lam0).h_inv,
-            "ok": kxx <= 2.0 * spectral_sums(spec, lam0).h_inv,
+            "h_inv": h_inv,
+            "ok": None if sup is None else kxx <= sup * h_inv,
         }
     if xi:
         if not spec.has_eigenfunctions or spec.d > 2:  # designs come from 1-D or 2-D models

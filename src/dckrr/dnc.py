@@ -2,19 +2,16 @@
 
 ``partition`` shuffles the sample and deals it into ``s`` machines of equal
 size ``n = floor(N/s)`` (the remainder is dropped and recorded). ``fit_all``
-fits each machine independently — optionally on a thread pool; results are
-folded in machine order so the estimate is bitwise independent of the
-worker count — and averages them into a :class:`DncEstimate`. An
-``exact_gram`` fit keeps its basis at its design points, so the estimate's
-coefficients, :func:`predict_bar` and the plug-in variance read it instead of
-evaluating it again. The bits also depend on the BLAS thread count, which
-:func:`~dckrr.simlab.run_sweep` fixes at one; outside a sweep it is the
-caller's.
+fits each machine independently, in machine order, and averages them into a
+:class:`DncEstimate`. An ``exact_gram`` fit keeps its basis at its design
+points, so the estimate's coefficients, :func:`predict_bar` and the plug-in
+variance read it instead of evaluating it again. The bits also depend on the
+BLAS thread count, which :func:`~dckrr.simlab.run_sweep` fixes at one;
+outside a sweep it is the caller's.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,19 +130,16 @@ def fit_all(
     solve_path: str = "exact_gram",
     workers: int | None = None,
 ) -> DncEstimate:
-    """Fit every machine and average.
+    """Fit every machine, in order, and average.
 
-    ``workers`` caps the thread pool (``None`` or 1 runs serially). Fits are
-    collected and folded in machine order, so the output is identical for
-    any worker count.
+    The machines are fitted serially; a sweep runs its replications on
+    threads instead (see :func:`~dckrr.simlab.run_sweep`). ``workers`` is
+    accepted as ``None`` or 1 only, and any other value raises ``ValueError``.
     """
-    subs = [subsample_for(data, part, j) for j in range(part.s)]
-    if workers is None or workers <= 1 or part.s == 1:
-        fits = [krr_fit(spec, sub, lam, solve_path) for sub in subs]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, part.s)) as pool:
-            fits = list(pool.map(lambda sub: krr_fit(spec, sub, lam, solve_path), subs))
-    # ordered folds over the machines: independent of pool scheduling
+    if workers not in (None, 1):
+        raise ValueError(f"workers must be None or 1, got {workers!r}")
+    fits = [krr_fit(spec, subsample_for(data, part, j), lam, solve_path) for j in range(part.s)]
+    # ordered folds over the machines
     beta = sum((f.beta for f in fits), np.zeros(spec.null_dim)) / part.s
     coeffs = sum((f.mercer_coeffs(spec) for f in fits), np.zeros(spec.M)) / part.s
     return DncEstimate(spec=spec, lam=lam, fits=tuple(fits), beta=beta, coeffs=coeffs)
@@ -174,8 +168,6 @@ def xi_diagnostic(
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if not spec.has_eigenfunctions:
-        raise ValueError(f"{spec.family} spectrum does not expose eigenfunctions")
     w = np.r_[np.ones(spec.null_dim), 1.0 / np.sqrt(1.0 + lam / spec.eigenvalues)]
     out = np.empty(part.s)
     for j in range(part.s):

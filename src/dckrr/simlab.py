@@ -237,7 +237,7 @@ def _cell_lambda(cfg: SweepConfig, n: int) -> float:
 def _run_replication(cfg: SweepConfig, N: int, s: int, lam: float, spec: Spectrum, seed: int):
     data = generate(cfg.model, N, seed, cfg.c)
     part = dnc.partition(data, s, seed)
-    est = dnc.fit_all(spec, data, part, lam, cfg.solve_path, workers=1)
+    est = dnc.fit_all(spec, data, part, lam, cfg.solve_path)
     mse = mse_of_estimate(est, cfg.model, cfg.c, cfg.grid_size)
     if cfg.sigma2_mode == "plugin":
         sigma2 = estimate_sigma2(est, data, part)

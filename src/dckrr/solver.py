@@ -1,13 +1,15 @@
 """Single-machine kernel ridge regression.
 
-Two solve paths produce the same estimate (on the truncated kernel):
+Two solve paths produce the same estimate on the truncated kernel
+``R = sum_nu mu_nu phi_nu phi_nu``, so both need the spectrum's eigenfunctions:
 
 * ``exact_gram`` — representer form: solve the ``n x n`` system
   ``(R_n + n*lam*I) alpha = y`` (augmented with the unpenalized null space
-  for spectra that have one).
+  for spectra that have one), with ``R_n`` formed from the basis at the
+  design points.
 * ``truncated_feature`` — ridge in the scaled eigenfunction basis
   ``psi_nu = sqrt(mu_nu) phi_nu``; an ``M x M`` solve, much cheaper when
-  ``n >> M``. Available only for spectra with eigenfunctions.
+  ``n >> M``.
 """
 
 from __future__ import annotations
@@ -63,8 +65,7 @@ class MachineFit:
     ``truncated_feature`` path, ``theta`` holds coefficients in the scaled
     basis ``sqrt(mu_nu) phi_nu``. An ``exact_gram`` fit keeps ``features =
     feature_matrix(spec, anchors)``, which its coefficients, predictions and
-    residuals read instead of evaluating the basis again; a Gaussian fit keeps
-    none, since its predictions use the closed-form gram.
+    residuals read instead of evaluating the basis again.
     """
 
     lam: float
@@ -84,14 +85,13 @@ class MachineFit:
         """Coefficients ``c_nu = V(f, phi_nu)`` for the finite eigenpairs."""
         if self.solve_path == "truncated_feature":
             return self.theta * np.sqrt(spec.eigenvalues)
-        phi = self.features if self.features is not None else feature_matrix(spec, self.anchors)
-        return spec.eigenvalues * (phi.T @ self.alpha)
+        return spec.eigenvalues * (self.features.T @ self.alpha)
 
 
-def _anchor_gram(spec: Spectrum, xs: NDArray[np.float64], F: NDArray[np.float64] | None):
-    """``gram_R(spec, xs, xs)``, formed from ``F = feature_matrix(spec, xs)``
-    with the same float operations when ``F`` is given."""
-    return gram_R(spec, xs, xs) if F is None else (F * spec.eigenvalues) @ F.T
+def _anchor_gram(spec: Spectrum, F: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``gram_R(spec, xs, xs)`` formed from ``F = feature_matrix(spec, xs)``,
+    with the same float operations."""
+    return (F * spec.eigenvalues) @ F.T
 
 
 def _solve_spd(A: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -113,9 +113,8 @@ def krr_fit(spec: Spectrum, sub: Subsample, lam: float, solve_path: str = "exact
     y = sub.ys
     q = spec.null_dim
     if solve_path == "exact_gram":
-        # the Gaussian predicts from the closed-form gram, so keeps no basis
-        F = None if spec.family == "gaussian_rkhs" else feature_matrix(spec, sub.xs)
-        A = _anchor_gram(spec, sub.xs, F) + n * lam * np.eye(n)
+        F = feature_matrix(spec, sub.xs)
+        A = _anchor_gram(spec, F) + n * lam * np.eye(n)
         if q:
             # KKT system for the unpenalized null space: T'alpha = 0
             T = null_basis(spec, sub.xs)
@@ -133,10 +132,6 @@ def krr_fit(spec: Spectrum, sub: Subsample, lam: float, solve_path: str = "exact
             anchors=sub.xs, alpha=alpha, features=F,
         )
     if solve_path == "truncated_feature":
-        if not spec.has_eigenfunctions:
-            raise ValueError(
-                f"truncated_feature path unavailable for {spec.family}; use exact_gram"
-            )
         psi = feature_matrix(spec, sub.xs) * np.sqrt(spec.eigenvalues)
         X = np.column_stack([null_basis(spec, sub.xs), psi])
         A = X.T @ X + n * lam * np.diag(np.r_[np.zeros(q), np.ones(spec.M)])
@@ -158,16 +153,12 @@ def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArr
     and in place: ``phi * sqrt(mu)`` for ``truncated_feature`` and
     ``phi * mu`` (the left factor of :func:`~dckrr.spectra.gram_R`) for
     ``exact_gram``, whose right factor is the fit's kept ``features``. Each
-    fit's values are bit-identical to evaluating it alone. ``exact_gram``
-    fits without ``features`` (the Gaussian) use the closed-form ``gram_R``.
+    fit's values are bit-identical to evaluating it alone.
     """
     X = np.asarray(X, dtype=np.float64)
     null = null_basis(spec, X)
     scaled = {}  # solve path -> scaled basis at X
     for fit in fits:
-        if fit.solve_path == "exact_gram" and fit.features is None:
-            yield null @ fit.beta + gram_R(spec, X, fit.anchors) @ fit.alpha
-            continue
         if fit.solve_path not in scaled:
             F = feature_matrix(spec, X)
             F *= spec.eigenvalues if fit.solve_path == "exact_gram" else np.sqrt(spec.eigenvalues)
@@ -201,10 +192,9 @@ def _trace(Rn: NDArray[np.float64], lam: float) -> float:
 def _fitted_and_gram(spec: Spectrum, fit: MachineFit, sub: Subsample):
     """A fit's values at its own subsample and the gram ``R_n`` there, equal to
     ``predict(spec, fit, sub.xs)`` and ``gram_R(spec, sub.xs, sub.xs)``. An
-    ``exact_gram`` fit's ``R_n`` is formed from its kept ``features`` (in
-    closed form for the Gaussian), and its values are ``null @ beta + R_n @
-    alpha``."""
+    ``exact_gram`` fit's ``R_n`` is formed from its kept ``features``, and
+    its values are ``null @ beta + R_n @ alpha``."""
     if fit.solve_path == "truncated_feature":
         return predict(spec, fit, sub.xs), gram_R(spec, sub.xs, sub.xs)
-    Rn = _anchor_gram(spec, fit.anchors, fit.features)
+    Rn = _anchor_gram(spec, fit.features)
     return null_basis(spec, sub.xs) @ fit.beta + Rn @ fit.alpha, Rn

@@ -8,7 +8,9 @@ kernels built from them:
 * ``K`` — the inference kernel, ``K(x, y) = sum_nu phi_nu(x) phi_nu(y) / (1 + lam/mu_nu)``.
 
 Eigenpairs are taken under the design ``U[0,1]^d``; the Gaussian RKHS's are
-Nyström pairs from a Gauss–Legendre rule (see :func:`gaussian_rkhs`).
+Nyström pairs from a Gauss–Legendre rule (see :func:`gaussian_rkhs`). For
+every family with eigenfunctions, ``R`` is the truncated sum: the Gaussian's
+closed form ``exp(-scale |x - y|^2)`` only builds its Nyström pairs.
 
 Some families have an unpenalized null space: functions with infinite
 eigenvalue. Periodic Sobolev and its additive extension have the constant
@@ -302,6 +304,17 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
     )
 
 
+def _gaussian_kernel(scale: float, x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The closed-form 1-D kernel ``exp(-scale (x - y)^2)`` as a ``(len(x),
+    len(y))`` matrix, built in place. Only the Nyström construction uses it:
+    the matrix on the nodes and the extension of the eigenfunctions to other
+    points (see :func:`_gaussian_basis`)."""
+    out = np.subtract.outer(x, y)
+    out *= out
+    out *= -scale
+    return np.exp(out, out=out)
+
+
 @functools.lru_cache(maxsize=None)
 def _gaussian_basis(d: int, scale: float, M: int) -> tuple[NDArray, ...]:
     """Nyström eigenpairs of ``K = exp(-scale |x - y|^2)`` under ``U[0,1]^d``,
@@ -318,7 +331,7 @@ def _gaussian_basis(d: int, scale: float, M: int) -> tuple[NDArray, ...]:
     """
     t, w = np.polynomial.legendre.leggauss(GAUSS_NODES)
     t, sw = 0.5 * (t + 1.0), np.sqrt(0.5 * w)
-    A = sw[:, None] * np.exp(-scale * np.subtract.outer(t, t) ** 2) * sw
+    A = sw[:, None] * _gaussian_kernel(scale, t, t) * sw
     # x -> 1 - x reverses the nodes and commutes with A, so each eigenvector is
     # even or odd: two half-size problems, small enough for single-threaded BLAS
     h = GAUSS_NODES // 2
@@ -349,8 +362,9 @@ def gaussian_rkhs(d: int = 1, scale: float = 1.0, M: int = M_CAP) -> Spectrum:
     ``U[0,1]^d``: Nyström pairs on Gauss–Legendre nodes, tensor products for
     ``d > 1`` (see :func:`_gaussian_basis`). Eigenvalues above ``GAUSS_FLOOR
     * mu_1`` are kept, at most ``M`` (by default all); as ``integral K(x, x)
-    dx = 1``, the discarded mass is ``1 - sum(mu)``. ``exact_gram`` uses the
-    closed form.
+    dx = 1``, the discarded mass is ``1 - sum(mu)``. The reproducing kernel
+    of the spectrum, and of every fit in it, is the truncated sum
+    ``sum_nu mu_nu phi_nu(x) phi_nu(y)`` (see :func:`gram_R`).
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -407,11 +421,6 @@ def explicit_spectrum(eigenvalues) -> Spectrum:
     )
 
 
-def _require_eigenfunctions(spec: Spectrum) -> None:
-    if not spec.has_eigenfunctions:
-        raise ValueError(f"{spec.family} spectrum does not expose eigenfunctions")
-
-
 def _periodic_phi(M: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
     """phi_1 .. phi_M of the 1-d periodic family at the points ``x``.
 
@@ -463,7 +472,6 @@ def eval_eigenfunction(spec: Spectrum, nu: int, x: NDArray[np.float64]) -> NDArr
     ``x`` as points (see :func:`_as_points`) and return one value per point;
     the others are evaluated elementwise and keep the shape of ``x``.
     """
-    _require_eigenfunctions(spec)
     x = np.asarray(x, dtype=np.float64)
     first = spec.d + 1 if spec.family == "additive" else 1
     if spec.family == "additive" or spec.d > 1:
@@ -486,8 +494,11 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64
     Column ``j`` (0-based) holds the eigenfunction with eigenvalue
     ``spec.eigenvalues[j]`` evaluated at the rows of ``X``. The constant is
     not included, nor is the rest of the null space (see :func:`null_basis`).
+    Families without eigenfunctions raise ``ValueError`` here, and so every
+    evaluator built on this one.
     """
-    _require_eigenfunctions(spec)
+    if not spec.has_eigenfunctions:
+        raise ValueError(f"{spec.family} spectrum does not expose eigenfunctions")
     X = np.asarray(X, dtype=np.float64)
     if spec.family == "periodic_sobolev":
         x = X.reshape(-1) if X.ndim == 1 else X[:, 0]
@@ -505,10 +516,9 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64
     if spec.family == "gaussian_rkhs":
         pts = _as_points(X, spec.d)
         nodes, coef, _, index = _gaussian_basis(spec.d, spec.scale, spec.M)
-        axis = gaussian_rkhs(1, spec.scale)  # the kernel of one coordinate
         out = np.ones((pts.shape[0], spec.M))
         for k in range(spec.d):
-            out *= (gram_R(axis, pts[:, k], nodes) @ coef)[:, index[:, k]]
+            out *= (_gaussian_kernel(spec.scale, pts[:, k], nodes) @ coef)[:, index[:, k]]
         return out
     raise AssertionError("unreachable")
 
@@ -538,29 +548,10 @@ def _as_points(X, d: int) -> NDArray[np.float64]:
 
 
 def gram_R(spec: Spectrum, X: NDArray[np.float64], Y: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Cross-gram matrix of the reproducing kernel ``R``.
-
-    The Gaussian kernel is built in one ``(n, m)`` array: the squared
-    distance is accumulated coordinate by coordinate in place, then scaled
-    and exponentiated in place. These are the float operations, in the same
-    order, of ``exp(-scale * ((X[:, None] - Y[None]) ** 2).sum(-1))``.
-    """
-    if spec.family == "gaussian_rkhs":
-        Xa = _as_points(X, spec.d)
-        Ya = _as_points(Y, spec.d)
-        out = np.subtract.outer(Xa[:, 0], Ya[:, 0])
-        out *= out
-        for k in range(1, spec.d):
-            diff = np.subtract.outer(Xa[:, k], Ya[:, k])
-            diff *= diff
-            out += diff
-        out *= -spec.scale
-        return np.exp(out, out=out)
-    if spec.family == "thin_plate":
-        raise ValueError("thin_plate spectrum has no kernel evaluator")
-    Fx = feature_matrix(spec, np.asarray(X, dtype=np.float64))
-    Fy = feature_matrix(spec, np.asarray(Y, dtype=np.float64))
-    return (Fx * spec.eigenvalues) @ Fy.T
+    """Cross-gram matrix of the reproducing kernel
+    ``R(x, y) = sum_nu mu_nu phi_nu(x) phi_nu(y)`` over the finite eigenpairs:
+    ``(feature_matrix(X) * mu) @ feature_matrix(Y).T``."""
+    return (feature_matrix(spec, X) * spec.eigenvalues) @ feature_matrix(spec, Y).T
 
 
 def eval_kernel_R(spec: Spectrum, x: NDArray[np.float64], y: NDArray[np.float64]) -> float:
@@ -578,9 +569,6 @@ def eval_kernel_K(spec: Spectrum, lam: float, x: NDArray[np.float64], y: NDArray
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if spec.family == "thin_plate":
-        raise ValueError("thin_plate spectrum has no kernel evaluator")
-    _require_eigenfunctions(spec)
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     y = np.asarray(y, dtype=np.float64).reshape(1, -1)
     w = 1.0 / (1.0 + lam / spec.eigenvalues)

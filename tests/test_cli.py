@@ -238,11 +238,22 @@ class TestDiagnoseCommand:
         assert 0 < report["tail_sum_sup"] < 1.2
         ratios = list(report["prop31_ratios"].values())
         assert all(0.2 <= r <= 1.0 for r in ratios)
-        # the W^2 null space and beam modes reach about 4 h_inv at the ends of [0, 1]
-        assert report["kernel_bound"]["ok"] is False
+        # the W^2 null space and beam modes reach 4 at the ends of [0, 1], so
+        # K(x, x) is held to 4 h_inv, not the periodic family's 2 h_inv
+        assert report["kernel_bound"]["ok"] is True
+        assert report["kernel_bound"]["max_K_xx"] > 2.0 * report["kernel_bound"]["h_inv"]
         assert report["kernel_bound"]["max_K_xx"] < 4.0 * report["kernel_bound"]["h_inv"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert "diagnostics.json" in manifest["outputs"]
+
+    def test_gaussian_kernel_bound_is_not_judged(self, tmp_path):
+        # the Gaussian's Nystrom eigenfunctions have no uniform bound
+        out = tmp_path / "d"
+        cfg = tmp_path / "diag.json"
+        cfg.write_text(json.dumps({"lambda_grid": [1e-2], "spectrum": {"family": "gaussian"}}))
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        bound = json.loads((out / "diagnostics.json").read_text())["kernel_bound"]
+        assert bound["ok"] is None and bound["max_K_xx"] > 0
 
     def test_periodic_sobolev_by_name(self, tmp_path):
         out = tmp_path / "d"

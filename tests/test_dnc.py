@@ -105,15 +105,17 @@ class TestFitAll:
         stacked = np.stack([predict(spec, f, grid) for f in est.fits])
         np.testing.assert_allclose(predict_bar(est, grid), stacked.mean(axis=0), atol=1e-12)
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_count_is_bitwise_invariant(self, workers):
+    @pytest.mark.parametrize("workers", [0, 2, 4])
+    def test_workers_other_than_one_are_rejected(self, workers):
+        # fits run serially; workers=None and workers=1 are the same call
         data = _dataset(120)
         spec = periodic_sobolev(2, M=32)
         part = partition(data, s=6, seed=7)
-        base = fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature", workers=1)
-        alt = fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature", workers=workers)
-        assert np.array_equal(base.coeffs, alt.coeffs)
-        assert base.c0 == alt.c0
+        base = fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature")
+        one = fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature", workers=1)
+        assert np.array_equal(base.coeffs, one.coeffs) and base.c0 == one.c0
+        with pytest.raises(ValueError, match="workers"):
+            fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature", workers=workers)
 
     def test_series_reconstruction(self):
         # c0 + sum_nu c_nu phi_nu reproduces predict_bar on the feature path
@@ -304,8 +306,7 @@ class TestProperties:
     @given(problems)
     @settings(max_examples=30, deadline=None)
     def test_solve_paths_agree(self, problem):
-        # both paths fit the same estimator; the Gaussian's exact_gram path uses
-        # the closed-form kernel, which its kept pairs match to about 1e-14
+        # both paths fit the same estimator, on the same truncated kernel
         spec, data, part, lam = _problem(problem)
         gram, feature = (fit_all(spec, data, part, lam, path) for path in SOLVE_PATHS)
         for x, y in ((predict_bar(gram, self.GRID), predict_bar(feature, self.GRID)),

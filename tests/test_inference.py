@@ -91,7 +91,7 @@ class TestNormBreakdown:
 
     @pytest.mark.parametrize("s,d", [(2, 1), (8, 1), (8, 2)], ids=["s2-d1", "s8-d1", "s8-d2"])
     def test_gram_route_gaussian(self, s, d):
-        # the Mercer norms of a Gaussian exact-gram fit match the closed-form kernel
+        # the Mercer norms of a Gaussian exact-gram fit match its representer form
         rng = np.random.default_rng(4)
         n = 60
         xs = rng.uniform(size=n if d == 1 else (n, d))
@@ -127,8 +127,8 @@ class TestNormBreakdown:
 
     def test_gaussian_route_holds_one_gram_block_at_a_time(self):
         # s=64 machines of n=64: the full 4096 x 4096 gram would take 134 MB
-        # and one 4096 x 64 machine block 2 MB; a row block holds at most
-        # GRAM_BLOCK_ENTRIES (2 MB of) kernel values
+        # and one 4096 x 64 machine block 2 MB; the norms are read from the
+        # averaged Mercer coefficients and form no gram at all
         rng = np.random.default_rng(5)
         xs = rng.uniform(size=4096)
         data = Dataset(xs=xs, ys=np.sin(1.5 * np.pi * xs) + rng.standard_normal(4096))
