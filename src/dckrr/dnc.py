@@ -2,8 +2,10 @@
 
 ``partition`` shuffles the sample and deals it into ``s`` machines of equal
 size ``n = floor(N/s)`` (the remainder is dropped and recorded). ``fit_all``
-fits each machine independently, in machine order, and averages them into a
-:class:`DncEstimate`. An ``exact_gram`` fit keeps its basis at its design
+fits each machine independently, in machine order, a block of machines at a
+time, and averages them into a :class:`DncEstimate`. A block shares one
+evaluation of the basis, and each fit has the bits of fitting its machine
+alone. An ``exact_gram`` fit keeps its basis at its design
 points, so the estimate's coefficients, :func:`predict_bar` and the plug-in
 variance read it instead of evaluating it again. The bits also depend on the
 BLAS thread count, which :func:`~dckrr.simlab.run_sweep` fixes at one;
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from dckrr.solver import MachineFit, Subsample, _predictions, krr_fit
+from dckrr.solver import MachineFit, Subsample, _check_finite, _fit_block, _predictions
 from dckrr.spectra import Spectrum, feature_matrix, null_basis
 
 __all__ = [
@@ -30,6 +32,8 @@ __all__ = [
     "predict_bar",
     "xi_diagnostic",
 ]
+
+_BLOCK_ROWS = 512  # design rows per block of machines that fit_all fits together
 
 
 @dataclass(frozen=True)
@@ -132,13 +136,24 @@ def fit_all(
 ) -> DncEstimate:
     """Fit every machine, in order, and average.
 
-    The machines are fitted serially; a sweep runs its replications on
-    threads instead (see :func:`~dckrr.simlab.run_sweep`). ``workers`` is
-    accepted as ``None`` or 1 only, and any other value raises ``ValueError``.
+    The sample is gathered and checked for non-finite values once. The
+    machines are then fitted serially, in blocks of ``max(1, 512 // n)``
+    machines, about 512 design rows: a block evaluates the basis once, and
+    each of its fits equals :func:`~dckrr.solver.krr_fit` on
+    :func:`subsample_for` that machine, bit for bit. A sweep runs its
+    replications on threads instead (see :func:`~dckrr.simlab.run_sweep`).
+    ``workers`` is accepted as ``None`` or 1 only, and any other value raises
+    ``ValueError``.
     """
     if workers not in (None, 1):
         raise ValueError(f"workers must be None or 1, got {workers!r}")
-    fits = [krr_fit(spec, subsample_for(data, part, j), lam, solve_path) for j in range(part.s)]
+    xs, ys = data.xs[part.assignment], data.ys[part.assignment]
+    _check_finite(xs, ys)
+    step = max(1, _BLOCK_ROWS // part.n)
+    fits = [
+        fit for j in range(0, part.s, step)
+        for fit in _fit_block(spec, xs[j : j + step], ys[j : j + step], lam, solve_path)
+    ]
     # ordered folds over the machines
     beta = sum((f.beta for f in fits), np.zeros(spec.null_dim)) / part.s
     coeffs = sum((f.mercer_coeffs(spec) for f in fits), np.zeros(spec.M)) / part.s

@@ -1,4 +1,4 @@
-"""Single-machine kernel ridge regression.
+"""Per-machine kernel ridge regression.
 
 Two solve paths produce the same estimate on the truncated kernel
 ``R = sum_nu mu_nu phi_nu phi_nu``, so both need the spectrum's eigenfunctions:
@@ -10,6 +10,13 @@ Two solve paths produce the same estimate on the truncated kernel
 * ``truncated_feature`` — ridge in the scaled eigenfunction basis
   ``psi_nu = sqrt(mu_nu) phi_nu``; an ``M x M`` solve, much cheaper when
   ``n >> M``.
+
+Both paths fit a block of machines at once (:func:`_fit_block`, which
+:func:`~dckrr.dnc.fit_all` calls and of which :func:`krr_fit` is the
+one-machine case): the basis is evaluated for the whole block, and each
+machine forms and solves its own system, so every fit has the bits of
+fitting that machine alone. Cholesky solves call LAPACK's ``potrf`` and
+``potrs`` directly, as ``scipy.linalg.cho_factor``/``cho_solve`` would.
 """
 
 from __future__ import annotations
@@ -28,6 +35,12 @@ __all__ = ["SOLVE_PATHS", "Subsample", "MachineFit", "krr_fit", "predict", "smoo
 SOLVE_PATHS = ("exact_gram", "truncated_feature")
 
 
+def _check_finite(xs: NDArray[np.float64], ys: NDArray[np.float64]) -> None:
+    """Raise ``ValueError`` if the designs or responses hold a non-finite value."""
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("subsample contains non-finite values")
+
+
 @dataclass(frozen=True)
 class Subsample:
     """The data handed to one machine: design ``xs`` and responses ``ys``."""
@@ -44,8 +57,7 @@ class Subsample:
             raise ValueError("empty subsample")
         if ys.shape != (n,):
             raise ValueError(f"ys must have shape ({n},), got {ys.shape}")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValueError("subsample contains non-finite values")
+        _check_finite(xs, ys)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
@@ -90,13 +102,18 @@ class MachineFit:
 
 def _anchor_gram(spec: Spectrum, F: NDArray[np.float64]) -> NDArray[np.float64]:
     """``gram_R(spec, xs, xs)`` formed from ``F = feature_matrix(spec, xs)``,
-    with the same float operations."""
-    return (F * spec.eigenvalues) @ F.T
+    with the same float operations; for a stack of machines' ``F``, one gram
+    per machine."""
+    return (F * spec.eigenvalues) @ np.swapaxes(F, -1, -2)
 
 
 def _solve_spd(A: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
-    c, low = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-    return scipy.linalg.cho_solve((c, low), b, check_finite=False)
+    """Solve ``A x = b`` by the lower Cholesky factor, with the LAPACK calls of
+    ``scipy.linalg.cho_factor``/``cho_solve`` and without their wrappers."""
+    c, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return scipy.linalg.lapack.dpotrs(c, b, lower=1)[0]
 
 
 def krr_fit(spec: Spectrum, sub: Subsample, lam: float, solve_path: str = "exact_gram") -> MachineFit:
@@ -106,39 +123,61 @@ def krr_fit(spec: Spectrum, sub: Subsample, lam: float, solve_path: str = "exact
     ``f = <beta, t> + g`` with ``g`` in the (truncated) RKHS and ``t`` the
     family's null space (:func:`~dckrr.spectra.null_basis`), which is
     unpenalized (the exact limit of penalty ``lam/mu`` as ``mu -> inf``).
+    This is the one-machine case of :func:`_fit_block`.
+    """
+    return _fit_block(spec, sub.xs[None], sub.ys[None], lam, solve_path)[0]
+
+
+def _fit_block(
+    spec: Spectrum, xs: NDArray[np.float64], ys: NDArray[np.float64], lam: float, solve_path: str
+) -> list[MachineFit]:
+    """Fit a block of machines, in order: machine ``j`` has design ``xs[j]``
+    and responses ``ys[j]`` (``ys`` is ``(b, n)``, ``xs`` ``(b, n)`` or ``(b, n,
+    d)``). The basis is evaluated once for the block, with a leading machine
+    axis; each machine forms and solves its own system, so every fit has the
+    bits of fitting that machine alone.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    n = sub.n
-    y = sub.ys
+    if solve_path not in SOLVE_PATHS:
+        raise ValueError(f"unknown solve_path {solve_path!r}")
+    b, n = ys.shape
+    pts = xs.reshape(b, n, -1)
     q = spec.null_dim
+    fits = []
     if solve_path == "exact_gram":
-        F = feature_matrix(spec, sub.xs)
-        A = _anchor_gram(spec, F) + n * lam * np.eye(n)
-        if q:
-            # KKT system for the unpenalized null space: T'alpha = 0
-            T = null_basis(spec, sub.xs)
-            sys = np.zeros((n + q, n + q))
-            sys[:n, :n] = A
-            sys[:n, n:] = T
-            sys[n:, :n] = T.T
-            rhs = np.concatenate([y, np.zeros(q)])
-            sol = scipy.linalg.solve(sys, rhs, assume_a="sym", check_finite=False)
-            alpha, beta = sol[:n], sol[n:]
-        else:
-            alpha, beta = _solve_spd(A, y), np.zeros(0)
-        return MachineFit(
-            lam=lam, solve_path=solve_path, beta=beta,
-            anchors=sub.xs, alpha=alpha, features=F,
-        )
-    if solve_path == "truncated_feature":
-        psi = feature_matrix(spec, sub.xs) * np.sqrt(spec.eigenvalues)
-        X = np.column_stack([null_basis(spec, sub.xs), psi])
-        A = X.T @ X + n * lam * np.diag(np.r_[np.zeros(q), np.ones(spec.M)])
-        sol = _solve_spd(A, X.T @ y)
-        beta, theta = sol[:q], sol[q:]
-        return MachineFit(lam=lam, solve_path=solve_path, beta=beta, theta=theta)
-    raise ValueError(f"unknown solve_path {solve_path!r}")
+        F = feature_matrix(spec, pts)
+        R = _anchor_gram(spec, F)
+        T = null_basis(spec, pts)
+        for j in range(b):
+            A = R[j]
+            A.flat[:: n + 1] += n * lam
+            if q:
+                # KKT system for the unpenalized null space: T'alpha = 0
+                sys = np.zeros((n + q, n + q))
+                sys[:n, :n] = A
+                sys[:n, n:] = T[j]
+                sys[n:, :n] = T[j].T
+                rhs = np.concatenate([ys[j], np.zeros(q)])
+                sol = scipy.linalg.solve(sys, rhs, assume_a="sym", check_finite=False)
+                alpha, beta = sol[:n], sol[n:]
+            else:
+                alpha, beta = _solve_spd(A, ys[j]), np.zeros(0)
+            fits.append(MachineFit(
+                lam=lam, solve_path=solve_path, beta=beta,
+                anchors=xs[j], alpha=alpha, features=F[j],
+            ))
+        return fits
+    psi = feature_matrix(spec, pts)
+    psi *= np.sqrt(spec.eigenvalues)
+    X = np.concatenate([null_basis(spec, pts), psi], axis=-1)
+    penalized = slice(q * (q + spec.M + 1), None, q + spec.M + 1)  # A's diagonal after q
+    for j in range(b):
+        A = X[j].T @ X[j]
+        A.flat[penalized] += n * lam
+        sol = _solve_spd(A, X[j].T @ ys[j])
+        fits.append(MachineFit(lam=lam, solve_path=solve_path, beta=sol[:q], theta=sol[q:]))
+    return fits
 
 
 def predict(spec: Spectrum, fit: MachineFit, X: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -191,10 +230,15 @@ def _trace(Rn: NDArray[np.float64], lam: float) -> float:
 
 def _fitted_and_gram(spec: Spectrum, fit: MachineFit, sub: Subsample):
     """A fit's values at its own subsample and the gram ``R_n`` there, equal to
-    ``predict(spec, fit, sub.xs)`` and ``gram_R(spec, sub.xs, sub.xs)``. An
-    ``exact_gram`` fit's ``R_n`` is formed from its kept ``features``, and
-    its values are ``null @ beta + R_n @ alpha``."""
-    if fit.solve_path == "truncated_feature":
-        return predict(spec, fit, sub.xs), gram_R(spec, sub.xs, sub.xs)
-    Rn = _anchor_gram(spec, fit.features)
-    return null_basis(spec, sub.xs) @ fit.beta + Rn @ fit.alpha, Rn
+    ``predict(spec, fit, sub.xs)`` and ``gram_R(spec, sub.xs, sub.xs)``. Both
+    come from one basis ``F`` at ``sub.xs``, an ``exact_gram`` fit's kept
+    ``features``: ``R_n = (F * mu) @ F.T``, and the values are ``null @ beta``
+    plus ``R_n @ alpha`` or ``(F * sqrt(mu)) @ theta``."""
+    null = null_basis(spec, sub.xs)
+    if fit.solve_path == "exact_gram":
+        Rn = _anchor_gram(spec, fit.features)
+        return null @ fit.beta + Rn @ fit.alpha, Rn
+    F = feature_matrix(spec, sub.xs)
+    Rn = _anchor_gram(spec, F)
+    F *= np.sqrt(spec.eigenvalues)
+    return null @ fit.beta + F @ fit.theta, Rn

@@ -222,12 +222,32 @@ def _beam_roots(K: int) -> NDArray[np.float64]:
     return b
 
 
+@functools.lru_cache(maxsize=None)
 def _spline_freqs(m: int, K: int) -> NDArray[np.float64]:
     """Frequencies ``b_k`` of the first ``K`` smoothing-spline eigenfunctions;
-    the eigenvalues are ``mu_k = b_k^(-2m)``."""
-    if m == 1:
-        return np.pi * np.arange(1, K + 1, dtype=np.float64)
-    return _beam_roots(K)
+    the eigenvalues are ``mu_k = b_k^(-2m)`` (read-only, computed once per
+    ``(m, K)``)."""
+    if m != 1:
+        return _beam_roots(K)
+    b = np.pi * np.arange(1, K + 1, dtype=np.float64)
+    b.flags.writeable = False
+    return b
+
+
+@functools.lru_cache(maxsize=None)
+def _beam_coeffs(K: int) -> tuple[NDArray[np.float64], ...]:
+    """Per-frequency coefficients of the first ``K`` beam modes in the
+    overflow-free form of :func:`_spline_phi`: ``(atan(sigma), sqrt(1 +
+    sigma^2), (1 + sigma)/2, a)``, read-only, computed once per ``K``."""
+    b = _beam_roots(K)
+    e = np.exp(-b)
+    den = 1.0 - e * e - 2.0 * e * np.sin(b)  # (sinh b - sin b) * 2 exp(-b)
+    sigma = (1.0 + e * e - 2.0 * e * np.cos(b)) / den
+    a = (np.cos(b) - np.sin(b) - e) / den
+    out = (np.arctan(sigma), np.sqrt(1.0 + sigma * sigma), 0.5 * (1.0 + sigma), a)
+    for c in out:
+        c.flags.writeable = False
+    return out
 
 
 def smoothing_spline(m: int, M: int = M_DEFAULT) -> Spectrum:
@@ -305,8 +325,8 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
 
 
 def _gaussian_kernel(scale: float, x: NDArray[np.float64], y: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The closed-form 1-D kernel ``exp(-scale (x - y)^2)`` as a ``(len(x),
-    len(y))`` matrix, built in place. Only the Nyström construction uses it:
+    """The closed-form 1-D kernel ``exp(-scale (x - y)^2)`` as an ``x.shape +
+    y.shape`` array, built in place. Only the Nyström construction uses it:
     the matrix on the nodes and the extension of the eigenfunctions to other
     points (see :func:`_gaussian_basis`)."""
     out = np.subtract.outer(x, y)
@@ -422,21 +442,23 @@ def explicit_spectrum(eigenvalues) -> Spectrum:
 
 
 def _periodic_phi(M: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """phi_1 .. phi_M of the 1-d periodic family at the points ``x``.
+    """phi_1 .. phi_M of the 1-d periodic family at the points ``x``, an
+    ``x.shape + (M,)`` array.
 
     Column ``2k - 2`` holds ``sqrt(2) sin(2 pi k x)`` and column ``2k - 1``
     holds ``sqrt(2) cos(2 pi k x)``; sin and cos are each computed only for
     their own columns.
     """
-    out = np.empty((x.shape[0], M))
-    out[:, 0::2] = np.sin(2.0 * np.pi * np.multiply.outer(x, np.arange(1, (M + 1) // 2 + 1)))
-    out[:, 1::2] = np.cos(2.0 * np.pi * np.multiply.outer(x, np.arange(1, M // 2 + 1)))
+    out = np.empty(x.shape + (M,))
+    out[..., 0::2] = np.sin(2.0 * np.pi * np.multiply.outer(x, np.arange(1, (M + 1) // 2 + 1)))
+    out[..., 1::2] = np.cos(2.0 * np.pi * np.multiply.outer(x, np.arange(1, M // 2 + 1)))
     out *= math.sqrt(2.0)
     return out
 
 
-def _spline_phi(m: int, b: NDArray[np.float64], x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Smoothing-spline eigenfunctions with frequencies ``b`` at points ``x``.
+def _spline_phi(m: int, K: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The first ``K`` smoothing-spline eigenfunctions at points ``x``, an
+    ``x.shape + (K,)`` array built in place in one output and one scratch array.
 
     For ``m = 2`` the beam mode is evaluated in an overflow-free form:
     ``cosh`` and ``sinh`` are split into exponentials and every growing
@@ -444,18 +466,25 @@ def _spline_phi(m: int, b: NDArray[np.float64], x: NDArray[np.float64]) -> NDArr
     ``sqrt(1 + sigma^2) cos(b x + atan(sigma)) + (1 + sigma)/2 exp(-b x)
     + a exp(-b (1 - x))`` with bounded coefficients ``sigma`` and ``a``.
     """
+    b = _spline_freqs(m, K)
+    out = np.multiply.outer(x, b)
     if m == 1:
-        return math.sqrt(2.0) * np.cos(np.multiply.outer(x, b))
-    e = np.exp(-b)
-    den = 1.0 - e * e - 2.0 * e * np.sin(b)  # (sinh b - sin b) * 2 exp(-b)
-    sigma = (1.0 + e * e - 2.0 * e * np.cos(b)) / den
-    a = (np.cos(b) - np.sin(b) - e) / den
-    bx = np.multiply.outer(x, b)
-    return (
-        np.sqrt(1.0 + sigma * sigma) * np.cos(bx + np.arctan(sigma))
-        + 0.5 * (1.0 + sigma) * np.exp(-bx)
-        + a * np.exp(np.multiply.outer(x - 1.0, b))
-    )
+        np.cos(out, out=out)
+        out *= math.sqrt(2.0)
+        return out
+    phase, amp, decay, a = _beam_coeffs(K)
+    tmp = np.negative(out)
+    np.exp(tmp, out=tmp)
+    tmp *= decay
+    out += phase
+    np.cos(out, out=out)
+    out *= amp
+    out += tmp
+    np.multiply.outer(x - 1.0, b, out=tmp)
+    np.exp(tmp, out=tmp)
+    tmp *= a
+    out += tmp
+    return out
 
 
 def eval_eigenfunction(spec: Spectrum, nu: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -492,40 +521,42 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64
     """All finite eigenfunctions at once: an ``(n, M)`` matrix.
 
     Column ``j`` (0-based) holds the eigenfunction with eigenvalue
-    ``spec.eigenvalues[j]`` evaluated at the rows of ``X``. The constant is
-    not included, nor is the rest of the null space (see :func:`null_basis`).
-    Families without eigenfunctions raise ``ValueError`` here, and so every
-    evaluator built on this one.
+    ``spec.eigenvalues[j]`` evaluated at the rows of ``X``. Points with a
+    leading machine axis, ``(b, n, d)``, give ``(b, n, M)``, and each
+    machine's ``(n, M)`` block has the bits of evaluating it alone. The
+    constant is not included, nor is the rest of the null space (see
+    :func:`null_basis`). Families without eigenfunctions raise ``ValueError``
+    here, and so every evaluator built on this one.
     """
     if not spec.has_eigenfunctions:
         raise ValueError(f"{spec.family} spectrum does not expose eigenfunctions")
-    X = np.asarray(X, dtype=np.float64)
+    pts = _as_points(X, spec.d)
     if spec.family == "periodic_sobolev":
-        x = X.reshape(-1) if X.ndim == 1 else X[:, 0]
-        return _periodic_phi(spec.M, x)
+        return _periodic_phi(spec.M, pts[..., 0])
     if spec.family == "smoothing_spline":
-        x = X.reshape(-1) if X.ndim == 1 else X[:, 0]
-        return _spline_phi(spec.m, _spline_freqs(spec.m, spec.M), x)
+        return _spline_phi(spec.m, spec.M, pts[..., 0])
     if spec.family == "additive":
-        pts = _as_points(X, spec.d)
         per_comp = spec.M // spec.d
-        out = np.empty((pts.shape[0], spec.M))
+        out = np.empty(pts.shape[:-1] + (spec.M,))
         for k in range(spec.d):
-            out[:, k :: spec.d] = _periodic_phi(per_comp, pts[:, k])
+            out[..., k :: spec.d] = _periodic_phi(per_comp, pts[..., k])
         return out
     if spec.family == "gaussian_rkhs":
-        pts = _as_points(X, spec.d)
         nodes, coef, _, index = _gaussian_basis(spec.d, spec.scale, spec.M)
-        out = np.ones((pts.shape[0], spec.M))
+        out = np.ones(pts.shape[:-1] + (spec.M,))
         for k in range(spec.d):
-            out *= (_gaussian_kernel(spec.scale, pts[:, k], nodes) @ coef)[:, index[:, k]]
+            # a stacked matmul is one gemm per machine, which keeps each
+            # machine's bits; a flat (b n, nodes) product would not
+            out *= (_gaussian_kernel(spec.scale, pts[..., k], nodes) @ coef)[..., index[:, k]]
         return out
     raise AssertionError("unreachable")
 
 
 def null_basis(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64]:
     """The unpenalized null space at the rows of ``X``: an ``(n, null_dim)``
-    matrix of ``V``-orthonormal functions, the constant first.
+    matrix of ``V``-orthonormal functions, the constant first, or ``(b, n,
+    null_dim)`` for points with a leading machine axis (as in
+    :func:`feature_matrix`).
 
     For the smoothing spline these are the shifted Legendre polynomials
     ``sqrt(2j + 1) P_j(2x - 1)``, ``j < m`` — for ``m = 2``,
@@ -533,16 +564,16 @@ def null_basis(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64]:
     """
     pts = _as_points(X, spec.d)
     if spec.family == "smoothing_spline":
-        legendre = np.polynomial.legendre.legvander(2.0 * pts[:, 0] - 1.0, spec.m - 1)
+        legendre = np.polynomial.legendre.legvander(2.0 * pts[..., 0] - 1.0, spec.m - 1)
         return legendre * np.sqrt(2.0 * np.arange(spec.m) + 1.0)
-    return np.ones((pts.shape[0], spec.null_dim))
+    return np.ones(pts.shape[:-1] + (spec.null_dim,))
 
 
 def _as_points(X, d: int) -> NDArray[np.float64]:
-    """Coerce input to an (n, d) point array; 1-d input means n points when
-    d == 1 and a single point otherwise."""
+    """Coerce input to an (n, d) point array, or keep a (b, n, d) one; 1-d
+    input means n points when d == 1 and a single point otherwise."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
+    if X.ndim <= 1:
         return X.reshape(-1, 1) if d == 1 else X.reshape(1, -1)
     return X
 

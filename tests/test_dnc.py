@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dckrr import solver
+from dckrr import dnc, solver
 from dckrr.dnc import (
     Dataset,
     DncEstimate,
@@ -75,6 +75,16 @@ class TestPartition:
         assert sub.machine_id == 1
 
 
+BLOCK_CASES = {
+    "periodic": lambda: periodic_sobolev(2, M=32),
+    "spline1": lambda: smoothing_spline(1, M=24),
+    "spline2": lambda: smoothing_spline(2, M=24),
+    "additive-d2": lambda: additive(2, 2, M=40),
+    "gaussian-d1": lambda: gaussian_rkhs(1, 1.0, M=16),
+    "gaussian-d2": lambda: gaussian_rkhs(2, 1.0, M=24),
+}
+
+
 class TestFitAll:
     def test_single_machine_matches_direct_fit(self):
         data = _dataset(50)
@@ -116,6 +126,45 @@ class TestFitAll:
         assert np.array_equal(base.coeffs, one.coeffs) and base.c0 == one.c0
         with pytest.raises(ValueError, match="workers"):
             fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature", workers=workers)
+
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_every_fit_is_its_lone_fit(self, case, path):
+        # machines are fitted in blocks of _BLOCK_ROWS // n; two whole blocks
+        # and one machine more leave a partial last block
+        spec, n = BLOCK_CASES[case](), 150
+        s = 2 * (dnc._BLOCK_ROWS // n) + 1
+        rng = np.random.default_rng(11)
+        xs = rng.uniform(size=(s * n + 3, spec.d))
+        data = Dataset(xs=xs[:, 0] if spec.d == 1 else xs, ys=rng.standard_normal(s * n + 3))
+        part = partition(data, s=s, seed=11)
+        est = fit_all(spec, data, part, lam=1e-3, solve_path=path)
+        assert est.s == s
+        for j, fit in enumerate(est.fits):
+            lone = krr_fit(spec, subsample_for(data, part, j), lam=1e-3, solve_path=path)
+            assert (fit.lam, fit.solve_path) == (lone.lam, lone.solve_path)
+            for name in ("beta", "anchors", "alpha", "theta", "features"):
+                a, b = getattr(fit, name), getattr(lone, name)
+                assert (a is None) == (b is None), name
+                assert a is None or (a.shape == b.shape and np.array_equal(a, b)), name
+
+    @pytest.mark.parametrize("bad", ["xs", "ys"])
+    def test_non_finite_data_is_rejected(self, bad):
+        data = _dataset(60)
+        arrays = {"xs": data.xs.copy(), "ys": data.ys.copy()}
+        arrays[bad][17] = np.nan if bad == "xs" else np.inf
+        bad_data = Dataset(**arrays)
+        part = partition(bad_data, s=3, seed=0)
+        with pytest.raises(ValueError, match="subsample contains non-finite values"):
+            fit_all(periodic_sobolev(2, M=16), bad_data, part, lam=1e-3)
+
+    def test_not_positive_definite_raises_linalg_error(self):
+        # every point at x = 1/2, where the null function sqrt(12) (x - 1/2)
+        # vanishes: the normal equations are singular, and potrf says so
+        data = Dataset(xs=np.full(36, 0.5), ys=np.arange(36.0))
+        part = partition(data, s=3, seed=0)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            fit_all(smoothing_spline(2, M=8), data, part, lam=1e-3, solve_path="truncated_feature")
 
     def test_series_reconstruction(self):
         # c0 + sum_nu c_nu phi_nu reproduces predict_bar on the feature path

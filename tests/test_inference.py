@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from dckrr import rates, simlab
+from dckrr import rates, simlab, solver, spectra
 from dckrr.dnc import Dataset, fit_all, partition, predict_bar, subsample_for
 from dckrr.inference import (
     NormBreakdown,
@@ -252,6 +252,29 @@ class TestEstimateSigma2:
             rss += float(resid @ resid)
             dof += sub.n - smoother_trace(spec, sub, lam) - float(spec.null_dim)
         assert estimate_sigma2(est, data, part) == rss / dof
+
+    @pytest.mark.parametrize("path, per_machine", [("exact_gram", 0), ("truncated_feature", 1)])
+    def test_evaluates_each_machines_basis_at_most_once(self, path, per_machine, monkeypatch):
+        # an exact_gram fit reads its kept basis; a truncated_feature one
+        # evaluates it once, for both the gram and the fitted values
+        spec, data, part, est = _estimate(n=96, s=4, solve_path=path)
+        lam = est.lam
+        rss, dof = 0.0, 0.0
+        for j, fit in enumerate(est.fits):
+            sub = subsample_for(data, part, j)
+            resid = sub.ys - predict(spec, fit, sub.xs)
+            rss += float(resid @ resid)
+            dof += sub.n - smoother_trace(spec, sub, lam) - float(spec.null_dim)
+        calls, real = [], solver.feature_matrix
+
+        def counting(spec_, X):
+            calls.append(np.shape(X))
+            return real(spec_, X)
+
+        for module in (spectra, solver):
+            monkeypatch.setattr(module, "feature_matrix", counting)
+        assert estimate_sigma2(est, data, part) == rss / dof
+        assert calls == [(part.n,)] * (per_machine * part.s)
 
 
 class TestSeparation:

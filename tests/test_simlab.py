@@ -214,6 +214,26 @@ class TestRunSweep:
         assert result.cells[0].failures == 1
         assert result.cells[0].reps == 19
 
+    def test_not_positive_definite_fit_is_a_counted_failure(self, monkeypatch):
+        # one replication's design sits at x = 1/2, where the null function
+        # sqrt(12) (x - 1/2) vanishes, so its normal equations are singular
+        real = simlab.generate
+
+        def degenerate_seed_0(model, N, seed, c=1.0):
+            data = real(model, N, seed, c)
+            return dnc.Dataset(xs=np.full(N, 0.5), ys=data.ys) if seed == 0 else data
+
+        monkeypatch.setattr(simlab, "generate", degenerate_seed_0)
+        cfg = SweepConfig(N_list=(64,), rho_list=(0.3,), replications=10,
+                          solve_path="truncated_feature")
+        s = max(1, math.floor(64**0.3 + 0.5))
+        lam = simlab._cell_lambda(cfg, 64 // s)
+        with pytest.raises(np.linalg.LinAlgError):
+            simlab._run_replication(cfg, 64, s, lam, simlab._spectrum_for(cfg, lam), seed=0)
+        with pytest.warns(UserWarning, match="1 replications failed"):
+            result = run_sweep(cfg)
+        assert result.cells[0].failures == 1 and result.cells[0].reps == 9
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_programming_errors_propagate(self, monkeypatch, workers):
         # only numerical failures are counted; a bug is raised, not absorbed
@@ -279,8 +299,8 @@ class TestBlasThreads:
 
 
 def test_additive_plugin_replication_evaluates_each_basis_once(monkeypatch):
-    # one feature_matrix per machine in krr_fit, which the fit keeps for its
-    # coefficients, predictions and residuals, and one at the MSE grid
+    # one feature_matrix per block of machines in fit_all, whose fits keep it
+    # for their coefficients, predictions and residuals, and one at the MSE grid
     cfg = SweepConfig(model="additive2d", N_list=(512,), rho_list=(0.4,), replications=1,
                       sigma2_mode="plugin", solve_path="exact_gram", lambda_task="estimation")
     s = max(1, math.floor(512**0.4 + 0.5))
@@ -296,4 +316,5 @@ def test_additive_plugin_replication_evaluates_each_basis_once(monkeypatch):
         if hasattr(module, "feature_matrix"):
             monkeypatch.setattr(module, "feature_matrix", counting)
     simlab._run_replication(cfg, 512, s, lam, spec, seed=0)
-    assert len(calls) == s + 1
+    blocks = math.ceil(s / max(1, dnc._BLOCK_ROWS // (512 // s)))
+    assert len(calls) == blocks + 1

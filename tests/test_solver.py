@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dckrr.solver import MachineFit, Subsample, krr_fit, predict, smoother_trace
+from dckrr.solver import MachineFit, Subsample, _solve_spd, krr_fit, predict, smoother_trace
 from dckrr.spectra import (
     explicit_spectrum,
     feature_matrix,
@@ -197,6 +197,24 @@ class TestLinearityAndValidation:
             krr_fit(spec, _sub([0.1], [1.0]), lam=-1.0, solve_path="exact_gram")
         with pytest.raises(ValueError):
             krr_fit(spec, _sub([0.1], [1.0]), lam=0.1, solve_path="bogus")
+
+
+class TestCholesky:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_cho_factor_and_cho_solve(self, seed):
+        # the same LAPACK calls as SciPy's wrappers, reading the lower triangle
+        # of a gram that a gemm made, so not symmetric in its last bits
+        rng = np.random.default_rng(seed)
+        F = rng.standard_normal((40, 60))
+        A = (F * rng.uniform(size=60)) @ F.T + 1e-3 * np.eye(40)
+        b = rng.standard_normal(40)
+        factor = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+        ref = scipy.linalg.cho_solve(factor, b, check_finite=False)
+        assert np.array_equal(_solve_spd(A, b), ref)
+
+    def test_not_positive_definite_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
+            _solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
 
 
 class TestSmootherTrace:

@@ -253,6 +253,20 @@ class TestEigenfunctions:
             assert eval_eigenfunction(spec, 1, pts).shape == (7, 1)
             assert eval_eigenfunction(spec, 1, np.float64(0.3)).shape == ()
 
+    @pytest.mark.parametrize("spec", [
+        periodic_sobolev(2, M=16), smoothing_spline(1, M=16), smoothing_spline(2, M=16),
+        additive(2, 2, M=16), gaussian_rkhs(1, 0.7, M=16), gaussian_rkhs(2, 1.0, M=24),
+    ], ids=["periodic", "spline1", "spline2", "additive", "gaussian-d1", "gaussian-d2"])
+    def test_machine_axis_keeps_each_machines_bits(self, spec):
+        # (b, n, d) points give (b, n, .) blocks equal to evaluating each machine alone
+        X = RNG.uniform(size=(5, 9, spec.d))
+        phi, null = feature_matrix(spec, X), null_basis(spec, X)
+        assert phi.shape == (5, 9, spec.M) and null.shape == (5, 9, spec.null_dim)
+        for j in range(5):
+            for lone in (X[j], X[j, :, 0]) if spec.d == 1 else (X[j],):
+                assert np.array_equal(phi[j], feature_matrix(spec, lone))
+                assert np.array_equal(null[j], null_basis(spec, lone))
+
 
 class TestKernels:
     def test_gaussian_closed_form(self):
@@ -506,6 +520,25 @@ class TestSmoothingSpline:
         with pytest.raises(ValueError):
             roots[0] = 0.0
         assert np.array_equal(smoothing_spline(2, M=16).eigenvalues, roots**-4.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_in_place_modes_equal_the_formula(self, m):
+        # the modes are built in place from cached coefficients, with the
+        # float operations of the out-of-place formula, so with its bits
+        M, x = 128, RNG.uniform(size=300)
+        b = math.pi * np.arange(1, M + 1, dtype=np.float64) if m == 1 else _beam_roots(M)
+        bx = np.multiply.outer(x, b)
+        if m == 1:
+            ref = math.sqrt(2.0) * np.cos(bx)
+        else:
+            e = np.exp(-b)
+            den = 1.0 - e * e - 2.0 * e * np.sin(b)
+            sigma = (1.0 + e * e - 2.0 * e * np.cos(b)) / den
+            a = (np.cos(b) - np.sin(b) - e) / den
+            ref = (np.sqrt(1.0 + sigma * sigma) * np.cos(bx + np.arctan(sigma))
+                   + 0.5 * (1.0 + sigma) * np.exp(-bx)
+                   + a * np.exp(np.multiply.outer(x - 1.0, b)))
+        assert np.array_equal(feature_matrix(smoothing_spline(m, M=M), x), ref)
 
     def test_m1_cosine_basis(self):
         spec = smoothing_spline(1, M=6)
