@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dckrr.dnc import Dataset, DncEstimate, Partition, subsample_for
-from dckrr.solver import _fitted_and_gram, _trace
+from dckrr.solver import _fitted_and_scaled_basis, _ridge_trace
 from dckrr.spectra import Spectrum, spectral_sums
 
 __all__ = [
@@ -121,9 +121,12 @@ def estimate_sigma2(est: DncEstimate, data: Dataset, part: Partition) -> float:
     of freedom ``df_j = trace of the ridge smoother`` (plus one for each
     unpenalized null-space function). Both solve paths fit the same
     estimator, so either path's fits serve. ``est`` must be fitted on
-    ``(data, part)``. Each machine's gram ``R_n`` is formed once and gives both
-    its fitted values and its trace, with the float operations of
-    :func:`~dckrr.solver.predict` and :func:`~dckrr.solver.smoother_trace`.
+    ``(data, part)``. Each machine's basis at its design is evaluated at most
+    once (an ``exact_gram`` fit keeps it) and gives both its fitted values and
+    its trace, with the float operations of :func:`~dckrr.solver.predict` and
+    :func:`~dckrr.solver.smoother_trace`; the trace is read from a
+    ``min(n, M)``-sized Cholesky factor, and no ``n x n`` gram is formed for a
+    ``truncated_feature`` fit.
     """
     spec, lam = est.spec, est.lam
     rss = 0.0
@@ -131,10 +134,10 @@ def estimate_sigma2(est: DncEstimate, data: Dataset, part: Partition) -> float:
     extra = float(spec.null_dim)
     for j, fit in enumerate(est.fits):
         sub = subsample_for(data, part, j)
-        fitted, Rn = _fitted_and_gram(spec, fit, sub)
+        fitted, G = _fitted_and_scaled_basis(spec, fit, sub)
         resid = sub.ys - fitted
         rss += float(resid @ resid)
-        dof += sub.n - _trace(Rn, lam) - extra
+        dof += sub.n - _ridge_trace(G, lam) - extra
     if dof <= 0:
         raise ValueError("nonpositive residual degrees of freedom")
     return rss / dof

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from dckrr.spectra import Spectrum, feature_matrix, gram_R, null_basis
+from dckrr.spectra import Spectrum, feature_matrix, null_basis
 
 __all__ = ["SOLVE_PATHS", "Subsample", "MachineFit", "krr_fit", "predict", "smoother_trace"]
 
@@ -107,13 +107,20 @@ def _anchor_gram(spec: Spectrum, F: NDArray[np.float64]) -> NDArray[np.float64]:
     return (F * spec.eigenvalues) @ np.swapaxes(F, -1, -2)
 
 
+def _cholesky(A: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The lower Cholesky factor of ``A`` (read from its lower triangle), with
+    the upper triangle zeroed; ``LinAlgError`` with ``cho_factor``'s message
+    if ``A`` is not positive definite."""
+    c, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
 def _solve_spd(A: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.float64]:
     """Solve ``A x = b`` by the lower Cholesky factor, with the LAPACK calls of
     ``scipy.linalg.cho_factor``/``cho_solve`` and without their wrappers."""
-    c, info = scipy.linalg.lapack.dpotrf(A, lower=1, clean=0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    return scipy.linalg.lapack.dpotrs(c, b, lower=1)[0]
+    return scipy.linalg.lapack.dpotrs(_cholesky(A), b, lower=1)[0]
 
 
 def krr_fit(spec: Spectrum, sub: Subsample, lam: float, solve_path: str = "exact_gram") -> MachineFit:
@@ -191,19 +198,25 @@ def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArr
     Only the scaled basis a solve path multiplies by is built, on first use
     and in place: ``phi * sqrt(mu)`` for ``truncated_feature`` and
     ``phi * mu`` (the left factor of :func:`~dckrr.spectra.gram_R`) for
-    ``exact_gram``, whose right factor is the fit's kept ``features``. Each
+    ``exact_gram``, whose right factor is the fit's kept ``features``. The
+    ``exact_gram`` cross-grams ``(len(X), n)`` are written into one buffer
+    that every fit with ``n`` anchors reuses; each yielded array is new. Each
     fit's values are bit-identical to evaluating it alone.
     """
     X = np.asarray(X, dtype=np.float64)
     null = null_basis(spec, X)
     scaled = {}  # solve path -> scaled basis at X
+    R = None  # the reused exact_gram cross-gram
     for fit in fits:
         if fit.solve_path not in scaled:
             F = feature_matrix(spec, X)
             F *= spec.eigenvalues if fit.solve_path == "exact_gram" else np.sqrt(spec.eigenvalues)
             scaled[fit.solve_path] = F
         if fit.solve_path == "exact_gram":
-            R = scaled[fit.solve_path] @ fit.features.T
+            left = scaled[fit.solve_path]
+            if R is None or R.shape[1] != fit.features.shape[0]:
+                R = np.empty((left.shape[0], fit.features.shape[0]))
+            np.matmul(left, fit.features.T, out=R)
             yield null @ fit.beta + R @ fit.alpha
         else:
             yield null @ fit.beta + scaled[fit.solve_path] @ fit.theta
@@ -212,33 +225,50 @@ def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArr
 def smoother_trace(spec: Spectrum, sub: Subsample, lam: float) -> float:
     """Trace of the ridge smoother, ``trace(R_n (R_n + n*lam*I)^{-1})``.
 
-    Lies in ``[0, n]``; tends to ``n`` as ``lam -> 0`` and to 0 as
-    ``lam -> inf``. (The unpenalized null space, when present, contributes
-    ``spec.null_dim`` extra degrees of freedom accounted for by the caller.)
+    Lies in ``[0, n]``; tends to ``n`` as ``lam -> 0`` (when ``R_n`` has full
+    rank) and to 0 as ``lam -> inf``. It is read from the Cholesky factor of
+    the smaller of ``R_n = G G^T`` and ``G^T G``, ``G = phi * sqrt(mu)`` the
+    scaled basis at ``sub.xs``, which share their nonzero eigenvalues: a
+    ``min(n, M)``-sized system, not an ``n x n`` eigendecomposition. (The
+    unpenalized null space, when present, contributes ``spec.null_dim`` extra
+    degrees of freedom accounted for by the caller.)
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    return _trace(gram_R(spec, sub.xs, sub.xs), lam)
+    G = feature_matrix(spec, sub.xs)
+    G *= np.sqrt(spec.eigenvalues)
+    return _ridge_trace(G, lam)
 
 
-def _trace(Rn: NDArray[np.float64], lam: float) -> float:
-    """``trace(R_n (R_n + n*lam*I)^{-1})`` of an ``n x n`` gram."""
-    eig = np.linalg.eigvalsh(Rn)
-    eig = np.clip(eig, 0.0, None)  # guard tiny negative roundoff
-    return float(np.sum(eig / (eig + Rn.shape[0] * lam)))
+def _ridge_trace(G: NDArray[np.float64], lam: float) -> float:
+    """``trace(S (S + n lam I)^{-1})`` for ``S`` the smaller of ``G G^T`` and
+    ``G^T G``, ``n = G.shape[0]``.
+
+    With ``S + n lam I = L L^T`` and ``Li = L^{-1}``, the trace is
+    ``trace(Li S Li^T) = sum(Li * (Li @ S))``: a sum of the diagonal of a
+    positive semidefinite matrix, with nothing subtracted from ``n``, so it
+    stays ``>= 0`` and keeps its relative accuracy at large ``lam``.
+    """
+    n = G.shape[0]
+    S = G @ G.T if n <= G.shape[1] else G.T @ G
+    A = S.copy()
+    A.flat[:: A.shape[0] + 1] += n * lam
+    Li = scipy.linalg.lapack.dtrtri(_cholesky(A), lower=1)[0]
+    return float(np.sum(Li * (Li @ S)))
 
 
-def _fitted_and_gram(spec: Spectrum, fit: MachineFit, sub: Subsample):
-    """A fit's values at its own subsample and the gram ``R_n`` there, equal to
-    ``predict(spec, fit, sub.xs)`` and ``gram_R(spec, sub.xs, sub.xs)``. Both
-    come from one basis ``F`` at ``sub.xs``, an ``exact_gram`` fit's kept
-    ``features``: ``R_n = (F * mu) @ F.T``, and the values are ``null @ beta``
-    plus ``R_n @ alpha`` or ``(F * sqrt(mu)) @ theta``."""
+def _fitted_and_scaled_basis(spec: Spectrum, fit: MachineFit, sub: Subsample):
+    """A fit's values at its own subsample, equal to ``predict(spec, fit,
+    sub.xs)``, and the scaled basis ``G = phi * sqrt(mu)`` there that
+    :func:`smoother_trace` reads. Both come from one basis ``F`` at
+    ``sub.xs``, an ``exact_gram`` fit's kept ``features``: its values are
+    ``null @ beta + R_n @ alpha`` with ``R_n = (F * mu) @ F.T``, as
+    :func:`predict` forms them, and a ``truncated_feature`` fit's are ``null
+    @ beta + G @ theta``, with no ``n x n`` gram."""
     null = null_basis(spec, sub.xs)
     if fit.solve_path == "exact_gram":
-        Rn = _anchor_gram(spec, fit.features)
-        return null @ fit.beta + Rn @ fit.alpha, Rn
-    F = feature_matrix(spec, sub.xs)
-    Rn = _anchor_gram(spec, F)
-    F *= np.sqrt(spec.eigenvalues)
-    return null @ fit.beta + F @ fit.theta, Rn
+        fitted = null @ fit.beta + _anchor_gram(spec, fit.features) @ fit.alpha
+        return fitted, fit.features * np.sqrt(spec.eigenvalues)
+    G = feature_matrix(spec, sub.xs)
+    G *= np.sqrt(spec.eigenvalues)
+    return null @ fit.beta + G @ fit.theta, G

@@ -524,6 +524,8 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64
     ``spec.eigenvalues[j]`` evaluated at the rows of ``X``. Points with a
     leading machine axis, ``(b, n, d)``, give ``(b, n, M)``, and each
     machine's ``(n, M)`` block has the bits of evaluating it alone. The
+    additive family evaluates each component's sin/cos once per distinct value
+    of its coordinate, so a ``g x g`` grid costs ``2 g`` rows, not ``g^2``. The
     constant is not included, nor is the rest of the null space (see
     :func:`null_basis`). Families without eigenfunctions raise ``ValueError``
     here, and so every evaluator built on this one.
@@ -539,7 +541,12 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64
         per_comp = spec.M // spec.d
         out = np.empty(pts.shape[:-1] + (spec.M,))
         for k in range(spec.d):
-            out[..., k :: spec.d] = _periodic_phi(per_comp, pts[..., k])
+            # each component once per distinct bit pattern of its coordinate
+            # (a grid repeats them), gathered back: elementwise, so the same bits
+            x = pts[..., k]
+            distinct, inverse = np.unique(x.reshape(-1).view(np.int64), return_inverse=True)
+            phi = _periodic_phi(per_comp, distinct.view(np.float64))
+            out[..., k :: spec.d] = phi[inverse.reshape(x.shape)]
         return out
     if spec.family == "gaussian_rkhs":
         nodes, coef, _, index = _gaussian_basis(spec.d, spec.scale, spec.M)

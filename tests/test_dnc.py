@@ -235,6 +235,24 @@ class TestPredictBar:
         for f in est.fits:
             assert np.array_equal(predict(spec, f, grid), _lone_predict(spec, f, grid))
 
+    @pytest.mark.parametrize("make_spec, d", [
+        (lambda: additive(2, 2, M=40), 2),
+        (lambda: smoothing_spline(2, M=32), 1),
+        (lambda: gaussian_rkhs(1, 1.0, M=16), 1),
+    ], ids=["additive", "spline", "gaussian"])
+    def test_collected_predictions_keep_their_values(self, make_spec, d):
+        # exact_gram products share one buffer; no yielded array may alias it
+        rng = np.random.default_rng(6)
+        xs = rng.uniform(size=(48, d)) if d > 1 else rng.uniform(size=48)
+        data = Dataset(xs=xs, ys=np.sin(3.0 * (xs if d == 1 else xs[:, 0])))
+        spec = make_spec()
+        est = fit_all(spec, data, partition(data, 4, seed=6), lam=1e-3, solve_path="exact_gram")
+        grid = rng.uniform(size=(33, d)) if d > 1 else np.linspace(0, 1, 33)
+        collected = list(solver._predictions(spec, est.fits, grid))
+        assert len(collected) == est.s
+        for values, fit in zip(collected, est.fits):
+            assert np.array_equal(values, predict(spec, fit, grid))
+
     @pytest.mark.parametrize("case", list(PREDICT_BAR_CASES))
     def test_coeffs_equal_the_anchor_formula(self, case):
         # an exact_gram fit's kept basis gives the bits of evaluating it again

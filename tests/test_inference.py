@@ -276,6 +276,22 @@ class TestEstimateSigma2:
         assert estimate_sigma2(est, data, part) == rss / dof
         assert calls == [(part.n,)] * (per_machine * part.s)
 
+    def test_forms_no_n_by_n_gram(self):
+        # n = 2000 points per machine: an n x n gram alone would take 32 MB
+        spec, lam = smoothing_spline(2, M=32), 1e-3
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(size=4000)
+        data = Dataset(xs=xs, ys=0.6 * np.sin(1.5 * np.pi * xs) + rng.standard_normal(4000))
+        part = partition(data, s=2, seed=8)
+        est = fit_all(spec, data, part, lam=lam, solve_path="truncated_feature")
+        tracemalloc.start()
+        try:
+            estimate_sigma2(est, data, part)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestSeparation:
     def test_formula_recompute(self):

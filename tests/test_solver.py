@@ -16,6 +16,7 @@ from dckrr.spectra import (
     gaussian_rkhs,
     gram_R,
     periodic_sobolev,
+    smoothing_spline,
     thin_plate,
 )
 
@@ -236,3 +237,22 @@ class TestSmootherTrace:
         eig = np.clip(eig, 0.0, None)
         oracle = float(np.sum(eig / (eig + 15 * lam)))
         assert smoother_trace(spec, _sub(xs, np.zeros(15)), lam) == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("lam", [1e-9, 1e-3, 1e6])
+    @pytest.mark.parametrize("make_spec, n", [
+        (lambda: periodic_sobolev(2, M=64), 15),
+        (lambda: smoothing_spline(2, M=32), 300),
+    ], ids=["n<M", "n>M"])
+    def test_both_sides_of_n_equals_M(self, make_spec, n, lam):
+        # the eigenvalues of the smaller gram; the n x n gram of a rank-M basis
+        # carries n - M roundoff eigenvalues, which at lam = 1e-9 move its
+        # trace by about 1e-10 relative
+        spec = make_spec()
+        xs = np.random.default_rng(n).uniform(size=n)
+        G = feature_matrix(spec, xs) * np.sqrt(spec.eigenvalues)
+        gram = gram_R(spec, xs, xs) if n <= spec.M else G.T @ G
+        eig = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+        oracle = float(np.sum(eig / (eig + n * lam)))
+        trace = smoother_trace(spec, _sub(xs, np.zeros(n)), lam)
+        assert trace >= 0.0
+        assert trace == pytest.approx(oracle, rel=1e-10, abs=0.0)  # the trace is ~1e-9 at lam = 1e6

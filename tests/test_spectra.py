@@ -32,7 +32,8 @@ from dckrr.spectra import (
     thin_plate,
     truncation_level,
 )
-from dckrr.spectra import _beam_roots, _gaussian_kernel
+from dckrr import spectra
+from dckrr.spectra import _beam_roots, _gaussian_kernel, _periodic_phi
 
 RNG = np.random.default_rng(1234)
 
@@ -266,6 +267,39 @@ class TestEigenfunctions:
             for lone in (X[j], X[j, :, 0]) if spec.d == 1 else (X[j],):
                 assert np.array_equal(phi[j], feature_matrix(spec, lone))
                 assert np.array_equal(null[j], null_basis(spec, lone))
+
+
+def _grid64():
+    axis = (np.arange(64) + 0.5) / 64
+    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+    return np.column_stack([g1.reshape(-1), g2.reshape(-1)])
+
+
+class TestAdditivePerCoordinate:
+    @pytest.mark.parametrize("points", [
+        lambda rng: _grid64(),
+        # a machine stack with repeated coordinates, within and across machines
+        lambda rng: rng.choice([0.0, -0.0, 0.125, 0.3, 0.5, 0.97], size=(3, 11, 2)),
+        lambda rng: rng.uniform(size=(50, 2)),
+    ], ids=["grid", "repeated-stack", "random"])
+    def test_equals_each_component_on_every_point(self, points):
+        spec = additive(2, 2, M=40)
+        X = points(np.random.default_rng(3))
+        phi = feature_matrix(spec, X)
+        for k in range(2):  # bit for bit, the sign of sin(-0.0) included
+            assert np.array_equal(phi[..., k::2].view(np.int64),
+                                  _periodic_phi(20, X[..., k]).view(np.int64))
+
+    def test_grid_evaluates_each_axis_value_once(self, monkeypatch):
+        sizes, real = [], spectra._periodic_phi
+
+        def counting(M, x):
+            sizes.append(np.size(x))
+            return real(M, x)
+
+        monkeypatch.setattr(spectra, "_periodic_phi", counting)
+        feature_matrix(additive(2, 2, M=40), _grid64())
+        assert len(sizes) == 2 and max(sizes) <= 64
 
 
 class TestKernels:
