@@ -7,6 +7,12 @@ effective config, the artifact version, and wall time; a sweep's also records
 ``blas_threads``, the thread count of each OpenBLAS library during its cells
 (``{}`` where none was found). Exit codes: 0 on
 success, 2 on configuration errors, 3 on experiment failures.
+
+``simlab.SweepConfig`` is the schema of a sweep config: its fields are the
+keys (``lambda_task`` is ``lambda.task``, ``sigma2_value`` is
+``sigma2.value``), its defaults the defaults, and its checks the only type
+and range checks. A value it refuses is a configuration error that names
+the key, reported before any replication runs.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import time
 import numpy as np
 
 from dckrr import __version__, dnc, rates, simlab
+from dckrr.simlab import as_int, as_real, as_tuple_of
 from dckrr.spectra import (
     M_CAP,
     M_DEFAULT,
@@ -125,39 +132,35 @@ def _load_config(args) -> dict:
     return cfg
 
 
-# The keys a config may hold, at the top level and in each section.
+# The keys a diagnose config may hold, at the top level and in each section.
 # ``base_seed`` and ``workers`` are also written by ``--seed`` and ``--workers``.
-SWEEP_KEYS = {
-    "": ("model", "c", "N_list", "rho_list", "replications", "alpha", "lambda", "sigma2",
-         "base_seed", "solve_path", "workers", "m", "grid_size"),
-    "lambda.": ("source", "task", "value"),
-    "sigma2.": ("mode", "value"),
-}
 DIAGNOSE_KEYS = {
     "": ("lambda_grid", "spectrum", "xi", "base_seed", "workers"),
     "spectrum.": ("family", "m", "d", "M", "scale"),
     "xi.": ("N", "s", "lambda", "seed"),
 }
+# The sections of a sweep config; every other key is a top-level field.
+SWEEP_SECTIONS = ("lambda", "sigma2")
 
 
-def _known_keys(section, prefix: str, keys: dict = SWEEP_KEYS) -> dict:
-    """``section``, checked to be a JSON object holding only ``keys[prefix]``."""
+def _known_keys(section, prefix: str, keys) -> dict:
+    """``section``, checked to be a JSON object holding only ``keys``."""
     if not isinstance(section, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object")
-    unknown = sorted(set(section) - set(keys[prefix]))
+    unknown = sorted(set(section) - set(keys))
     if unknown:
         raise ConfigError("unknown config key " + ", ".join(repr(prefix + k) for k in unknown))
     return section
 
 
 def _field(section: dict, prefix: str, key: str, kind, default, valid=None, need: str = ""):
-    """``kind(section[key])``, or ``default`` when absent; a value ``kind``
-    rejects, or one for which ``valid`` is false, is a config error naming
-    the field."""
+    """``kind(section[key])``, or ``default`` when absent, with ``kind`` one of
+    ``simlab``'s strict converters; a value ``kind`` rejects, or one for which
+    ``valid`` is false, is a config error naming the field."""
     try:
         value = kind(section[key]) if key in section else default
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{prefix}{key}: {exc}") from exc
+        raise ConfigError(f"{prefix}{key} {exc}") from exc
     if valid is not None and not valid(value):
         raise ConfigError(f"{prefix}{key} must be {need}, got {section.get(key, value)!r}")
     return value
@@ -167,31 +170,31 @@ def _positive(x) -> bool:
     return 0 < x < math.inf
 
 
+def _sweep_key(field: str) -> str:
+    """The config key of a ``SweepConfig`` field: ``lambda_task`` is
+    ``lambda.task`` and ``sigma2_value`` is ``sigma2.value``; every other
+    field is the top-level key of its own name."""
+    section, _, key = field.partition("_")
+    return f"{section}.{key}" if section in SWEEP_SECTIONS else field
+
+
 def _sweep_config(cfg: dict) -> simlab.SweepConfig:
-    cfg = _known_keys(cfg, "")
-    lam = _known_keys(cfg.get("lambda", {"source": "rates", "task": "testing"}), "lambda.")
-    sig = _known_keys(cfg.get("sigma2", {"mode": "known", "value": 1.0}), "sigma2.")
+    """The ``SweepConfig`` of a JSON config. Its keys are the dataclass's
+    fields; a missing key takes the field's default, and a value the
+    dataclass refuses is a config error naming the key."""
+    field_of = {_sweep_key(f.name): f.name for f in dataclasses.fields(simlab.SweepConfig)}
+    flat = {}
+    for key, value in _known_keys(cfg, "", {k.split(".")[0] for k in field_of}).items():
+        if key not in SWEEP_SECTIONS:
+            flat[field_of[key]] = value
+            continue
+        inner = [k.split(".")[1] for k in field_of if k.startswith(key + ".")]
+        for k, v in _known_keys(value, key + ".", inner).items():
+            flat[field_of[f"{key}.{k}"]] = v
     try:
-        return simlab.SweepConfig(
-            model=cfg.get("model", "spline1d"),
-            c=float(cfg.get("c", 1.0)),
-            N_list=tuple(int(N) for N in cfg.get("N_list", [1024])),
-            rho_list=tuple(float(r) for r in cfg.get("rho_list", [0.3])),
-            replications=int(cfg.get("replications", 50)),
-            alpha=float(cfg.get("alpha", 0.05)),
-            lambda_source=lam.get("source", "rates"),
-            lambda_task=lam.get("task", "testing"),
-            lambda_value=lam.get("value"),
-            sigma2_mode=sig.get("mode", "known"),
-            sigma2_value=float(sig.get("value", 1.0)),
-            base_seed=int(cfg.get("base_seed", 0)),
-            solve_path=cfg.get("solve_path", "truncated_feature"),
-            workers=int(cfg.get("workers", 1)),
-            m=int(cfg.get("m", 2)),
-            grid_size=cfg.get("grid_size"),
-        )
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(str(exc)) from exc
+        return simlab.SweepConfig(**flat)
+    except simlab.FieldError as exc:
+        raise ConfigError(f"{_sweep_key(exc.field)} {exc.problem}") from exc
 
 
 def cmd_sweep(args) -> int:
@@ -260,19 +263,19 @@ DIAGNOSE_FAMILIES = ("spline", "periodic_sobolev", "additive", "gaussian", "gaus
                      "thin_plate")
 
 
-def _diag_spectrum(cfg: dict, lam_grid: list[float]):
+def _diag_spectrum(cfg: dict, lam_grid: tuple[float, ...]):
     """The spectrum a diagnose config names, resolved at the finest ``lambda``
     of the grid: ``spline`` is the smoothing spline that ``spline1d`` sweeps
     fit, ``periodic_sobolev`` the periodic family."""
-    cfg = _known_keys(cfg, "spectrum.", DIAGNOSE_KEYS)
+    cfg = _known_keys(cfg, "spectrum.", DIAGNOSE_KEYS["spectrum."])
     fam = cfg.get("family", "spline")
     if fam not in DIAGNOSE_FAMILIES:
         raise ConfigError(f"unknown family {fam!r}")
     at_least_1 = dict(valid=lambda v: v >= 1, need=">= 1")
-    m = _field(cfg, "spectrum.", "m", int, 2, **at_least_1)
-    d = _field(cfg, "spectrum.", "d", int, 1, **at_least_1)
-    M = _field(cfg, "spectrum.", "M", int, None, **at_least_1) if "M" in cfg else None
-    scale = _field(cfg, "spectrum.", "scale", float, 1.0, _positive, "positive")
+    m = _field(cfg, "spectrum.", "m", as_int, 2, **at_least_1)
+    d = _field(cfg, "spectrum.", "d", as_int, 1, **at_least_1)
+    M = _field(cfg, "spectrum.", "M", as_int, None, **at_least_1) if "M" in cfg else None
+    scale = _field(cfg, "spectrum.", "scale", as_real, 1.0, _positive, "positive")
     lam = min(lam_grid)
     try:
         if fam == "spline":
@@ -308,19 +311,19 @@ def cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     try:
         raw = _load_config(args) if (args.config or args.preset) else {}
-        raw = _known_keys(raw, "", DIAGNOSE_KEYS)
-        lam_grid = _field(raw, "", "lambda_grid", lambda v: [float(x) for x in v],
-                          [1e-2, 1e-3, 1e-4, 1e-5, 1e-6],
-                          lambda g: bool(g) and all(map(_positive, g)), "positive and nonempty")
-        seed = _field(raw, "", "base_seed", int, 0, lambda v: v >= 0, ">= 0")
+        raw = _known_keys(raw, "", DIAGNOSE_KEYS[""])
+        lam_grid = _field(raw, "", "lambda_grid", as_tuple_of(as_real),
+                          (1e-2, 1e-3, 1e-4, 1e-5, 1e-6), lambda g: all(map(_positive, g)),
+                          "positive")
+        seed = _field(raw, "", "base_seed", as_int, 0, lambda v: v >= 0, ">= 0")
         spec = _diag_spectrum(raw.get("spectrum", {}), lam_grid)
         xi = raw.get("xi")
         if xi:
-            xi = _known_keys(xi, "xi.", DIAGNOSE_KEYS)
-            N = _field(xi, "xi.", "N", int, 1024, lambda v: v >= 1, ">= 1")
-            s = _field(xi, "xi.", "s", int, 4, lambda v: 1 <= v <= N, f"in 1..{N}")
-            xi_lam = _field(xi, "xi.", "lambda", float, lam_grid[0], _positive, "positive")
-            xi_seed = _field(xi, "xi.", "seed", int, 0, lambda v: v >= 0, ">= 0")
+            xi = _known_keys(xi, "xi.", DIAGNOSE_KEYS["xi."])
+            N = _field(xi, "xi.", "N", as_int, 1024, lambda v: v >= 1, ">= 1")
+            s = _field(xi, "xi.", "s", as_int, 4, lambda v: 1 <= v <= N, f"in 1..{N}")
+            xi_lam = _field(xi, "xi.", "lambda", as_real, lam_grid[0], _positive, "positive")
+            xi_seed = _field(xi, "xi.", "seed", as_int, 0, lambda v: v >= 0, ">= 0")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,7 +27,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,6 +47,10 @@ from dckrr.spectra import (
 __all__ = [
     "MODELS",
     "SweepConfig",
+    "FieldError",
+    "as_int",
+    "as_real",
+    "as_tuple_of",
     "CellResult",
     "ExperimentResult",
     "SweepError",
@@ -66,9 +70,87 @@ class SweepError(RuntimeError):
     """Raised when more than 10% of a cell's replications fail."""
 
 
+class FieldError(ValueError):
+    """A ``SweepConfig`` field of the wrong type or out of range: ``field``
+    names it and ``problem`` says what is wrong."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
+
+
+# Strict converters shared by ``SweepConfig`` and the ``diagnose`` config.
+# Each returns its value in the declared type or raises with a message that
+# reads after the field's name; none truncates, parses a string or takes a
+# bool for a number.
+
+
+def as_int(value) -> int:
+    """``value`` as an ``int``: an integer that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value) -> float:
+    """``value`` as a finite ``float``: an integer or a float, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
+def as_tuple_of(item):
+    """A converter of a non-empty list or tuple to a tuple of ``item``s."""
+
+    def convert(value) -> tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise TypeError(f"must be a non-empty list, got {value!r}")
+        out = []
+        for i, v in enumerate(value):
+            try:
+                out.append(item(v))
+            except (TypeError, ValueError) as exc:
+                raise type(exc)(f"entry {i} {exc}") from exc
+        return tuple(out)
+
+    return convert
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+# The converter of each declared field type of ``SweepConfig``.
+_CONVERTERS = {
+    "str": lambda value: value,  # each str field is checked against its choices
+    "int": as_int,
+    "float": as_real,
+    "int | None": _optional(as_int),
+    "float | None": _optional(as_real),
+    "tuple[int, ...]": as_tuple_of(as_int),
+    "tuple[float, ...]": as_tuple_of(as_real),
+}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Configuration of one replicated experiment grid."""
+    """Configuration of one replicated experiment grid, and the schema of
+    ``dckrr sweep`` configs: a field ``lambda_<key>`` or ``sigma2_<key>`` is
+    the key ``<key>`` of that JSON section, every other field a top-level
+    key, and the defaults here are the only defaults.
+
+    Every field is converted to its declared type with the strict converters
+    above, so ``2.5`` is no ``int`` and ``"0.3"`` no ``float``; lists become
+    tuples. A value of the wrong type or out of range raises ``FieldError``
+    naming its field.
+    """
 
     model: str = "spline1d"
     c: float = 1.0
@@ -88,42 +170,42 @@ class SweepConfig:
     grid_size: int | None = None
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if any(N < 4 for N in self.N_list):
-            raise ValueError("N values must be >= 4")
-        if any(not 0.0 < r < 1.0 for r in self.rho_list):
-            raise ValueError("rho values must lie in (0, 1)")
-        if self.lambda_source not in ("rates", "explicit"):
-            raise ValueError("lambda_source must be 'rates' or 'explicit'")
-        if self.lambda_source == "explicit" and (
-            self.lambda_value is None or self.lambda_value <= 0
-        ):
-            raise ValueError("explicit lambda_source requires a positive lambda_value")
-        if self.sigma2_mode not in ("known", "plugin"):
-            raise ValueError("sigma2_mode must be 'known' or 'plugin'")
-        if self.solve_path not in SOLVE_PATHS:
-            raise ValueError(f"solve_path must be one of {SOLVE_PATHS}, got {self.solve_path!r}")
-        if self.grid_size is not None and (
-            not isinstance(self.grid_size, (int, np.integer))
-            or isinstance(self.grid_size, bool)
-            or self.grid_size < 2
-        ):
-            raise ValueError(f"grid_size must be an integer >= 2, got {self.grid_size!r}")
-        if self.base_seed < 0:
-            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.m < 2:
+        for f in fields(self):
+            try:
+                value = _CONVERTERS[f.type](getattr(self, f.name))
+            except (TypeError, ValueError) as exc:
+                raise FieldError(f.name, str(exc)) from exc
+            object.__setattr__(self, f.name, value)
+        checks = (
+            ("model", self.model in MODELS, f"must be one of {MODELS}"),
+            ("lambda_source", self.lambda_source in ("rates", "explicit"),
+             "must be 'rates' or 'explicit'"),
+            ("lambda_task", self.lambda_task in rates.TASKS, f"must be one of {rates.TASKS}"),
+            ("sigma2_mode", self.sigma2_mode in ("known", "plugin"), "must be 'known' or 'plugin'"),
+            ("solve_path", self.solve_path in SOLVE_PATHS, f"must be one of {SOLVE_PATHS}"),
+            ("replications", self.replications >= 1, "must be >= 1"),
+            ("N_list", min(self.N_list) >= 4, "must hold values >= 4"),
+            ("rho_list", all(0.0 < r < 1.0 for r in self.rho_list), "must hold values in (0, 1)"),
+            ("alpha", 0.0 < self.alpha < 1.0, "must lie in (0, 1)"),
+            ("lambda_value", self.lambda_source != "explicit"
+             or (self.lambda_value is not None and self.lambda_value > 0),
+             "must be positive for an explicit lambda"),
+            ("sigma2_value", self.sigma2_mode != "known" or self.sigma2_value > 0,
+             "must be positive for a known sigma2"),
+            ("grid_size", self.grid_size is None or self.grid_size >= 2, "must be >= 2"),
+            ("base_seed", self.base_seed >= 0, "must be >= 0"),
+            ("workers", self.workers >= 1, "must be >= 1"),
             # with mu_k ~ k^-2 the truncation rule needs more than M_CAP
             # eigenfunctions for any lambda below about 1e-2
-            raise ValueError(f"m must be >= 2, got {self.m}")
+            ("m", self.m >= 2, "must be >= 2"),
+        )
+        for name, ok, problem in checks:
+            if not ok:
+                raise FieldError(name, f"{problem}, got {getattr(self, name)!r}")
         if self.model == "spline1d" and self.m not in SMOOTHING_SPLINE_ORDERS:
-            raise ValueError(
-                f"m={self.m} is not supported for spline1d: its W^m[0,1] "
-                f"smoothing-spline family is implemented for m in {SMOOTHING_SPLINE_ORDERS}"
+            raise FieldError(
+                "m", f"must be in {SMOOTHING_SPLINE_ORDERS} for spline1d, whose W^m[0,1] "
+                f"smoothing-spline family is implemented for those orders only, got m={self.m}"
             )
 
     @property

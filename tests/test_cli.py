@@ -1,18 +1,26 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dckrr import cli, rates, simlab
 from dckrr.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, main
+from dckrr.solver import SOLVE_PATHS
 from dckrr.spectra import smoothing_spline_level, truncation_level
 
 
@@ -138,6 +146,26 @@ class TestSweepCommand:
         ("replication", 100, "spline1d"),
         ("lamda", {"source": "rates", "task": "testing"}, "spline1d"),
         ("sigma", {"mode": "known"}, "additive2d"),
+        # a lambda.task typo, whatever the source
+        ("lambda", {"source": "rates", "task": "test"}, "spline1d"),
+        ("lambda", {"source": "explicit", "task": "test", "value": 1e-3}, "spline1d"),
+        # out of range: each would fail every replication, not the config
+        ("alpha", 1.5, "spline1d"),
+        ("c", math.nan, "spline1d"),
+        ("c", math.inf, "spline1d"),
+        ("c", -math.inf, "additive2d"),
+        ("sigma2", {"mode": "known", "value": -1}, "spline1d"),
+        # of the wrong type or container, refused rather than cast
+        ("replications", 2.5, "spline1d"),
+        ("replications", True, "spline1d"),
+        ("N_list", [64.9], "spline1d"),
+        ("N_list", "64", "spline1d"),
+        ("N_list", [], "spline1d"),
+        ("rho_list", ["0.3"], "spline1d"),
+        ("c", "1", "spline1d"),
+        ("base_seed", 1.7, "spline1d"),
+        ("m", 2.9, "additive2d"),
+        ("lambda", {"source": "explicit", "value": "1e-3"}, "spline1d"),
     ])
     def test_bad_field_fails_fast_naming_it(self, tmp_path, monkeypatch, capsys, field, value, model):
         def never(cfg):
@@ -197,6 +225,158 @@ class TestSweepCommand:
 
     def test_unknown_preset(self, tmp_path, capsys):
         assert main(["sweep", "--preset", "nope", "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+# The keys of a sweep config, as the JSON spells them.
+SWEEP_KEYS = (
+    "model", "c", "N_list", "rho_list", "replications", "alpha",
+    "lambda.source", "lambda.task", "lambda.value", "sigma2.mode", "sigma2.value",
+    "base_seed", "solve_path", "workers", "m", "grid_size",
+)
+
+# A valid value of each key.
+VALID = {
+    "model": st.sampled_from(simlab.MODELS),
+    "c": st.floats(-10.0, 10.0),
+    "N_list": st.lists(st.integers(4, 4096), min_size=1, max_size=3),
+    "rho_list": st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3),
+    "replications": st.integers(1, 100),
+    "alpha": st.floats(0.01, 0.5),
+    "lambda.source": st.sampled_from(["rates", "explicit"]),
+    "lambda.task": st.sampled_from(rates.TASKS),
+    "lambda.value": st.none() | st.floats(1e-9, 1.0),
+    "sigma2.mode": st.sampled_from(["known", "plugin"]),
+    "sigma2.value": st.floats(0.1, 10.0),
+    "base_seed": st.integers(0, 10**6),
+    "solve_path": st.sampled_from(SOLVE_PATHS),
+    "workers": st.integers(1, 8),
+    "m": st.integers(2, 3),
+    "grid_size": st.none() | st.integers(2, 512),
+}
+
+# What a hand-written config gets wrong: an int where a float belongs (or out
+# of range), a non-integral float, a bool, a numeric string, a non-finite
+# number, a list, or a string where a list belongs.
+MALFORMED = st.one_of(
+    st.integers(-5, 5),
+    st.floats(-1e3, 1e3).filter(lambda x: not x.is_integer()),
+    st.booleans(),
+    st.sampled_from(["64", "0.3", "1e-3", "2"]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.integers(-2, 64) | st.floats(-1.0, 2.0) | st.booleans() | st.just("8"),
+             max_size=2),
+    st.text(max_size=3),
+)
+
+
+def _value(key):
+    """A valid or a malformed value of ``key``, each half of the time."""
+    return st.booleans().flatmap(lambda valid: VALID[key] if valid else MALFORMED)
+
+
+def _section(prefix):
+    return st.fixed_dictionaries({}, optional={
+        key[len(prefix):]: _value(key) for key in SWEEP_KEYS if key.startswith(prefix)
+    })
+
+
+SWEEP_CONFIGS = st.fixed_dictionaries({}, optional={
+    "lambda": _section("lambda."),
+    "sigma2": _section("sigma2."),
+    **{key: _value(key) for key in SWEEP_KEYS if "." not in key},
+})
+
+
+def _key(field):
+    """The config key of a ``SweepConfig`` field."""
+    section, _, key = field.partition("_")
+    return f"{section}.{key}" if section in ("lambda", "sigma2") else field
+
+
+def _flat(cfg):
+    """``cfg`` with its sections' keys spelled ``section.key``."""
+    flat = {}
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            flat[key] = value
+    return flat
+
+
+def _has_type(value, declared) -> bool:
+    args = typing.get_args(declared)
+    if typing.get_origin(declared) is tuple:
+        return type(value) is tuple and all(_has_type(v, args[0]) for v in value)
+    if args:  # a union with None
+        return any(_has_type(value, a) for a in args)
+    return type(value) is declared
+
+
+def _is_given(value, given) -> bool:
+    """``value`` is the JSON value ``given``: a list became a tuple, and no
+    bool, string or fraction turned into a number."""
+    if isinstance(given, list):
+        return type(value) is tuple and len(value) == len(given) and all(map(_is_given, value, given))
+    return type(given) is not bool and type(value) in (type(given), float) and value == given
+
+
+def _sweep(cfg):
+    """``main(["sweep", ...])`` on ``cfg`` with the experiment replaced by a
+    recorder: the exit code, stderr, the configs ``run_sweep`` got, and
+    whether the output directory was made."""
+    recorded = []
+
+    def record(config):
+        recorded.append(config)
+        return simlab.ExperimentResult(config=config)
+
+    with (tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp,
+          contextlib.redirect_stderr(io.StringIO()) as err,
+          contextlib.redirect_stdout(io.StringIO())):
+        mp.setattr(simlab, "run_sweep", record)
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        code = main(["sweep", "--config", path, "--out", out])
+        return code, err.getvalue(), recorded, os.path.exists(out)
+
+
+class TestSweepSchema:
+    def test_keys_are_the_config_fields(self):
+        fields = {_key(f.name): f for f in dataclasses.fields(simlab.SweepConfig)}
+        assert set(fields) == set(SWEEP_KEYS)
+        # every key is accepted, and a missing key takes the field's default
+        for key, field in fields.items():
+            section, _, inner = key.rpartition(".")
+            default = list(field.default) if isinstance(field.default, tuple) else field.default
+            code, _, recorded, _ = _sweep({section: {inner: default}} if section else {key: default})
+            assert (code, recorded) == (EXIT_OK, [simlab.SweepConfig()]), key
+        # and nothing else: not a field's own name, nor a section key at the top
+        for cfg in ({"lambda_task": "testing"}, {"task": "testing"}, {"lambda": {"mode": "known"}},
+                    {"sigma2": {"sigma2_value": 1.0}}):
+            code, err, recorded, _ = _sweep(cfg)
+            assert (code, recorded) == (EXIT_CONFIG, []) and "unknown config key" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=SWEEP_CONFIGS)
+    def test_config_either_fails_naming_a_key_or_is_taken_as_written(self, cfg):
+        code, err, recorded, made = _sweep(cfg)
+        if code == EXIT_CONFIG:
+            assert recorded == [] and not made
+            assert any(err.startswith(f"config error: {key} ") for key in SWEEP_KEYS), err
+            return
+        assert code == EXIT_OK
+        (config,) = recorded
+        given = _flat(cfg)
+        types = typing.get_type_hints(simlab.SweepConfig)
+        for field in dataclasses.fields(config):
+            value = getattr(config, field.name)
+            assert _has_type(value, types[field.name]), (field.name, value)
+            key = _key(field.name)
+            if key in given:
+                assert _is_given(value, given[key]), (key, value, given[key])
 
 
 class TestRatesCommand:
@@ -313,10 +493,16 @@ class TestDiagnoseCommand:
         ({"xi": {"lambda": 0.0}}, "xi.lambda"),
         ({"xi": {"seed": -1}}, "xi.seed"),
         ({"base_seed": "x"}, "base_seed"),
+        ({"spectrum": {"m": 2.5}}, "spectrum.m"),
+        ({"xi": {"N": 256.9}}, "xi.N"),
+        ({"spectrum": {"m": True}}, "spectrum.m"),
+        ({"lambda_grid": "123"}, "lambda_grid"),
+        ({"xi": {"lambda": math.nan}}, "xi.lambda"),
     ], ids=["m-two", "scale-wide", "famly", "lambda_grd", "lambda_grid-str",
             "xi.N-many", "xi.n", "xi.s-above-N", "m-0", "spline-m-3", "M-0", "M-too-coarse",
             "scale-negative", "lambda_grid-empty", "lambda_grid-0", "xi.lambda-0",
-            "xi.seed-negative", "base_seed-str"])
+            "xi.seed-negative", "base_seed-str", "m-2.5", "xi.N-256.9", "m-true",
+            "lambda_grid-string", "xi.lambda-nan"])
     def test_bad_field_fails_fast_naming_it(self, tmp_path, capsys, cfg, field):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps(cfg))
