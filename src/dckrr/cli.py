@@ -8,11 +8,11 @@ effective config, the artifact version, and wall time; a sweep's also records
 (``{}`` where none was found). Exit codes: 0 on
 success, 2 on configuration errors, 3 on experiment failures.
 
-``simlab.SweepConfig`` is the schema of a sweep config: its fields are the
-keys (``lambda_task`` is ``lambda.task``, ``sigma2_value`` is
-``sigma2.value``), its defaults the defaults, and its checks the only type
-and range checks. A value it refuses is a configuration error that names
-the key, reported before any replication runs.
+``simlab.SweepConfig`` is the schema of a sweep config and ``DiagnoseConfig``
+of a diagnose config: a dataclass's fields are the keys (``lambda_task`` is
+``lambda.task``, ``xi_N`` is ``xi.N``), its defaults the defaults, and its
+checks the only type and range checks. A value it refuses is a configuration
+error that names the key, reported before any replication or diagnostic runs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import time
 import numpy as np
 
 from dckrr import __version__, dnc, rates, simlab
-from dckrr.simlab import as_int, as_real, as_tuple_of
 from dckrr.spectra import (
     M_CAP,
     M_DEFAULT,
@@ -90,57 +89,35 @@ def _write_manifest(out_dir: str, config: dict, outputs: list[str], seed: int, t
 
 
 PRESETS = {
-    "spline-fig1": {
-        "model": "spline1d",
+    name: {
+        "model": model,
         "c": 1.0,
         "N_list": [512, 1024, 2048, 4096, 8192],
         "rho_list": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
         "replications": 50,
         "lambda": {"source": "rates", "task": "estimation"},
-    },
-    "additive-fig2": {
-        "model": "additive2d",
-        "c": 1.0,
-        "N_list": [512, 1024, 2048, 4096, 8192],
-        "rho_list": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
-        "replications": 50,
-        "lambda": {"source": "rates", "task": "estimation"},
-    },
+    }
+    for name, model in (("spline-fig1", "spline1d"), ("additive-fig2", "additive2d"))
 }
 PAPER_SCALE_REPS = {"spline-fig1": 100, "additive-fig2": 100}
 
 
-def _load_config(args) -> dict:
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r}")
-        cfg = json.loads(json.dumps(PRESETS[args.preset]))  # deep copy
-        if args.paper_scale:
-            cfg["replications"] = PAPER_SCALE_REPS[args.preset]
-    elif args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-    else:
+def _load_config(path: str | None, preset: str | None = None, paper_scale: bool = False):
+    """The JSON value of the config file ``path``, or the config of ``preset``."""
+    if preset:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}")
+        cfg = dict(PRESETS[preset])
+        if paper_scale:
+            cfg["replications"] = PAPER_SCALE_REPS[preset]
+        return cfg
+    if path is None:
         raise ConfigError("one of --config or --preset is required")
-    if args.seed is not None:
-        cfg["base_seed"] = args.seed
-    if args.workers is not None:
-        cfg["workers"] = args.workers
-    return cfg
-
-
-# The keys a diagnose config may hold, at the top level and in each section.
-# ``base_seed`` and ``workers`` are also written by ``--seed`` and ``--workers``.
-DIAGNOSE_KEYS = {
-    "": ("lambda_grid", "spectrum", "xi", "base_seed", "workers"),
-    "spectrum.": ("family", "m", "d", "M", "scale"),
-    "xi.": ("N", "s", "lambda", "seed"),
-}
-# The sections of a sweep config; every other key is a top-level field.
-SWEEP_SECTIONS = ("lambda", "sigma2")
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
 
 
 def _known_keys(section, prefix: str, keys) -> dict:
@@ -153,55 +130,40 @@ def _known_keys(section, prefix: str, keys) -> dict:
     return section
 
 
-def _field(section: dict, prefix: str, key: str, kind, default, valid=None, need: str = ""):
-    """``kind(section[key])``, or ``default`` when absent, with ``kind`` one of
-    ``simlab``'s strict converters; a value ``kind`` rejects, or one for which
-    ``valid`` is false, is a config error naming the field."""
-    try:
-        value = kind(section[key]) if key in section else default
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{prefix}{key} {exc}") from exc
-    if valid is not None and not valid(value):
-        raise ConfigError(f"{prefix}{key} must be {need}, got {section.get(key, value)!r}")
-    return value
-
-
-def _positive(x) -> bool:
-    return 0 < x < math.inf
-
-
-def _sweep_key(field: str) -> str:
-    """The config key of a ``SweepConfig`` field: ``lambda_task`` is
-    ``lambda.task`` and ``sigma2_value`` is ``sigma2.value``; every other
-    field is the top-level key of its own name."""
+def _config_key(cls, field: str) -> str:
+    """The config key of a field of ``cls``: ``<section>_<key>`` is
+    ``<section>.<key>`` for each of ``cls.SECTIONS``, and every other field
+    is the top-level key of its own name."""
     section, _, key = field.partition("_")
-    return f"{section}.{key}" if section in SWEEP_SECTIONS else field
+    return f"{section}.{key}" if section in cls.SECTIONS else field
 
 
-def _sweep_config(cfg: dict) -> simlab.SweepConfig:
-    """The ``SweepConfig`` of a JSON config. Its keys are the dataclass's
-    fields; a missing key takes the field's default, and a value the
-    dataclass refuses is a config error naming the key."""
-    field_of = {_sweep_key(f.name): f.name for f in dataclasses.fields(simlab.SweepConfig)}
+def _config(cls, raw, **overrides):
+    """The ``cls`` of a JSON config ``raw``, with each override that is not
+    ``None`` in place of its field. The keys are the dataclass's fields; a
+    missing key takes the field's default, and a value the dataclass refuses
+    is a config error naming the key."""
+    field_of = {_config_key(cls, f.name): f.name for f in dataclasses.fields(cls)}
     flat = {}
-    for key, value in _known_keys(cfg, "", {k.split(".")[0] for k in field_of}).items():
-        if key not in SWEEP_SECTIONS:
+    for key, value in _known_keys(raw, "", {k.split(".")[0] for k in field_of}).items():
+        if key not in cls.SECTIONS:
             flat[field_of[key]] = value
             continue
         inner = [k.split(".")[1] for k in field_of if k.startswith(key + ".")]
         for k, v in _known_keys(value, key + ".", inner).items():
             flat[field_of[f"{key}.{k}"]] = v
+    flat.update((name, v) for name, v in overrides.items() if v is not None)
     try:
-        return simlab.SweepConfig(**flat)
+        return cls(**flat)
     except simlab.FieldError as exc:
-        raise ConfigError(f"{_sweep_key(exc.field)} {exc.problem}") from exc
+        raise ConfigError(f"{_config_key(cls, exc.field)} {exc.problem}") from exc
 
 
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     try:
-        raw = _load_config(args)
-        cfg = _sweep_config(raw)
+        raw = _load_config(args.config, args.preset, args.paper_scale)
+        cfg = _config(simlab.SweepConfig, raw, base_seed=args.seed, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -263,20 +225,55 @@ DIAGNOSE_FAMILIES = ("spline", "periodic_sobolev", "additive", "gaussian", "gaus
                      "thin_plate")
 
 
-def _diag_spectrum(cfg: dict, lam_grid: tuple[float, ...]):
+@dataclasses.dataclass(frozen=True)
+class DiagnoseConfig:
+    """The schema of ``dckrr diagnose`` configs, as ``simlab.SweepConfig`` is
+    of sweep configs: a field ``spectrum_<key>`` or ``xi_<key>`` is the key
+    ``<key>`` of that JSON object, every other field a top-level key, and the
+    defaults here are the only defaults. The ``xi`` diagnostic runs when the
+    config holds a non-empty ``xi`` object."""
+
+    SECTIONS = ("spectrum", "xi")  # the JSON objects; not a field
+
+    lambda_grid: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+    base_seed: int = 0
+    spectrum_family: str = "spline"
+    spectrum_m: int = 2
+    spectrum_d: int = 1
+    spectrum_M: int | None = None  # the family's level for the finest lambda
+    spectrum_scale: float = 1.0  # the Gaussian's exp(-scale |x - y|^2)
+    xi_N: int = 1024
+    xi_s: int = 4
+    xi_lambda: float | None = None  # the first lambda of the grid
+    xi_seed: int = 0
+
+    def __post_init__(self):
+        simlab.check_fields(self, lambda: (
+            ("lambda_grid", min(self.lambda_grid) > 0, "must hold positive values"),
+            ("base_seed", self.base_seed >= 0, "must be >= 0"),
+            ("spectrum_family", self.spectrum_family in DIAGNOSE_FAMILIES,
+             f"must be one of {DIAGNOSE_FAMILIES}"),
+            ("spectrum_m", self.spectrum_m >= 1, "must be >= 1"),
+            ("spectrum_d", self.spectrum_d >= 1, "must be >= 1"),
+            ("spectrum_M", self.spectrum_M is None or self.spectrum_M >= 1, "must be >= 1"),
+            ("spectrum_scale", self.spectrum_scale > 0, "must be positive"),
+            ("xi_N", self.xi_N >= 1, "must be >= 1"),
+            ("xi_s", 1 <= self.xi_s <= self.xi_N, f"must be in 1..{self.xi_N}"),
+            ("xi_lambda", self.xi_lambda is None or self.xi_lambda > 0, "must be positive"),
+            ("xi_seed", self.xi_seed >= 0, "must be >= 0"),
+        ))
+
+    @property
+    def xi_lam(self) -> float:
+        return self.lambda_grid[0] if self.xi_lambda is None else self.xi_lambda
+
+
+def _diag_spectrum(cfg: DiagnoseConfig):
     """The spectrum a diagnose config names, resolved at the finest ``lambda``
     of the grid: ``spline`` is the smoothing spline that ``spline1d`` sweeps
     fit, ``periodic_sobolev`` the periodic family."""
-    cfg = _known_keys(cfg, "spectrum.", DIAGNOSE_KEYS["spectrum."])
-    fam = cfg.get("family", "spline")
-    if fam not in DIAGNOSE_FAMILIES:
-        raise ConfigError(f"unknown family {fam!r}")
-    at_least_1 = dict(valid=lambda v: v >= 1, need=">= 1")
-    m = _field(cfg, "spectrum.", "m", as_int, 2, **at_least_1)
-    d = _field(cfg, "spectrum.", "d", as_int, 1, **at_least_1)
-    M = _field(cfg, "spectrum.", "M", as_int, None, **at_least_1) if "M" in cfg else None
-    scale = _field(cfg, "spectrum.", "scale", as_real, 1.0, _positive, "positive")
-    lam = min(lam_grid)
+    fam, m, d, M = cfg.spectrum_family, cfg.spectrum_m, cfg.spectrum_d, cfg.spectrum_M
+    lam = min(cfg.lambda_grid)
     try:
         if fam == "spline":
             spec = smoothing_spline(m, M or smoothing_spline_level(m, lam))
@@ -287,7 +284,7 @@ def _diag_spectrum(cfg: dict, lam_grid: tuple[float, ...]):
         elif fam == "thin_plate":
             spec = thin_plate(m, d, M or M_DEFAULT)
         else:
-            spec = gaussian_rkhs(d, scale, M or M_CAP)
+            spec = gaussian_rkhs(d, cfg.spectrum_scale, M or M_CAP)
         spectral_sums(spec, lam)  # a level that resolves the finest lambda resolves all
     except ValueError as exc:  # the family's own limits, TruncationError included
         raise ConfigError(f"spectrum: {exc}") from exc
@@ -307,26 +304,14 @@ def _basis_sup_sq(spec) -> float | None:
     return None
 
 
-def cmd_diagnose(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        raw = _load_config(args) if (args.config or args.preset) else {}
-        raw = _known_keys(raw, "", DIAGNOSE_KEYS[""])
-        lam_grid = _field(raw, "", "lambda_grid", as_tuple_of(as_real),
-                          (1e-2, 1e-3, 1e-4, 1e-5, 1e-6), lambda g: all(map(_positive, g)),
-                          "positive")
-        seed = _field(raw, "", "base_seed", as_int, 0, lambda v: v >= 0, ">= 0")
-        spec = _diag_spectrum(raw.get("spectrum", {}), lam_grid)
-        xi = raw.get("xi")
-        if xi:
-            xi = _known_keys(xi, "xi.", DIAGNOSE_KEYS["xi."])
-            N = _field(xi, "xi.", "N", as_int, 1024, lambda v: v >= 1, ">= 1")
-            s = _field(xi, "xi.", "s", as_int, 4, lambda v: 1 <= v <= N, f"in 1..{N}")
-            xi_lam = _field(xi, "xi.", "lambda", as_real, lam_grid[0], _positive, "positive")
-            xi_seed = _field(xi, "xi.", "seed", as_int, 0, lambda v: v >= 0, ">= 0")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _diagnostics(cfg: DiagnoseConfig, xi: bool) -> dict:
+    """The report of ``dckrr diagnose``, with the ``xi`` summary when ``xi``.
+    A spectrum the family cannot build, or an ``xi`` diagnostic it does not
+    support, is a config error raised before any diagnostic runs."""
+    spec = _diag_spectrum(cfg)
+    if xi and (not spec.has_eigenfunctions or spec.d > 2):  # designs come from 1-D or 2-D models
+        raise ConfigError(f"unsupported: xi diagnostic unavailable for {spec.family} "
+                          f"with d={spec.d}")
     report: dict = {
         "family": spec.family,
         "m": spec.m,
@@ -334,11 +319,11 @@ def cmd_diagnose(args) -> int:
         "M": spec.M,
         "tail_sum_sup": check_tail_sum(spec),
         "prop31_ratios": dict(
-            zip(map(_fmt, lam_grid), map(float, check_prop31_ratio(spec, lam_grid)))
+            zip(map(_fmt, cfg.lambda_grid), map(float, check_prop31_ratio(spec, cfg.lambda_grid)))
         ),
     }
     if spec.has_eigenfunctions:
-        lam0 = lam_grid[0]
+        lam0 = cfg.lambda_grid[0]
         grid = (np.arange(256) + 0.5) / 256
         pts = grid.reshape(-1, 1) if spec.d == 1 else np.column_stack([grid] * spec.d)
         kxx = max(eval_kernel_K(spec, lam0, p, p) for p in pts)
@@ -351,49 +336,45 @@ def cmd_diagnose(args) -> int:
             "ok": None if sup is None else kxx <= sup * h_inv,
         }
     if xi:
-        if not spec.has_eigenfunctions or spec.d > 2:  # designs come from 1-D or 2-D models
-            print(
-                f"unsupported: xi diagnostic unavailable for {spec.family} with d={spec.d}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
         model = "spline1d" if spec.d == 1 else "additive2d"
-        data = simlab.generate(model, N, xi_seed, c=0.0)
-        part = dnc.partition(data, s, xi_seed)
-        xis = dnc.xi_diagnostic(spec, data, part, xi_lam)
+        data = simlab.generate(model, cfg.xi_N, cfg.xi_seed, c=0.0)
+        part = dnc.partition(data, cfg.xi_s, cfg.xi_seed)
+        xis = dnc.xi_diagnostic(spec, data, part, cfg.xi_lam)
         report["xi"] = {
-            "N": N,
-            "s": s,
-            "lambda": xi_lam,
+            "N": cfg.xi_N,
+            "s": cfg.xi_s,
+            "lambda": cfg.xi_lam,
             "max": float(np.max(xis)),
             "median": float(np.median(xis)),
         }
+    return report
+
+
+def cmd_diagnose(args) -> int:
+    t0 = time.perf_counter()
+    try:
+        raw = _load_config(args.config) if args.config else {}
+        cfg = _config(DiagnoseConfig, raw, base_seed=args.seed)
+        report = _diagnostics(cfg, xi=bool(raw.get("xi")))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "diagnostics.json")
     with open(path, "w", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args.out, raw, [path], seed, t0)
+    _write_manifest(args.out, dataclasses.asdict(cfg), [path], cfg.base_seed, t0)
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="path to a JSON config")
-    p.add_argument("--preset", help="named preset (spline-fig1, additive-fig2)")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--workers", type=int, default=None, help="worker pool width")
-    p.add_argument("--seed", type=int, default=None, help="override base seed")
-    p.add_argument("--paper-scale", action="store_true", help="full replication counts")
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="dckrr", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep", help="run a replicated (N, rho) experiment grid")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    sweep = sub.add_parser("sweep", help="run a replicated (N, rho) experiment grid")
+    sweep.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("rates", help="print tuning-rule prescriptions")
     p.add_argument("--family", required=True, choices=list(rates.FAMILIES))
@@ -403,9 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", default="estimation", choices=list(rates.TASKS))
     p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("diagnose", help="spectral and empirical-process diagnostics")
-    _add_common(p)
-    p.set_defaults(func=cmd_diagnose)
+    diagnose = sub.add_parser("diagnose", help="spectral and empirical-process diagnostics")
+    diagnose.set_defaults(func=cmd_diagnose)
+
+    for p in (sweep, diagnose):
+        p.add_argument("--config", help="path to a JSON config")
+        p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--seed", type=int, default=None, help="override base_seed")
+    sweep.add_argument("--preset", help="named preset (spline-fig1, additive-fig2)")
+    sweep.add_argument("--paper-scale", action="store_true", help="full replication counts")
+    sweep.add_argument("--workers", type=int, default=None, help="override workers")
     return ap
 
 

@@ -5,10 +5,11 @@ For a family, smoothness order, dimension, sample size, and task
 ``lambda``, the largest admissible machine count ``s_max``, and the optimal
 rate. The bounds are order statements: they are evaluated numerically with
 unit constants and natural logarithms, and the symbolic exponents are the
-authoritative output. The numeric ``lambda`` is scaled by the family's
-leading eigenvalue ``mu_1`` so the prescription is invariant to the
-eigenvalue normalization (``lambda`` only ever enters through
-``lambda/mu_nu``).
+authoritative output. The numeric ``lambda`` is scaled by a fixed constant
+per family (:func:`leading_eigenvalue`; for ``spline`` and ``additive`` the
+periodic Sobolev ``mu_1``), not by the ``mu_1`` of the fitted spectrum: that of
+``smoothing_spline(2)`` is 3.11 times larger and the 1-D Gaussian's Nyström
+``mu_1`` 3.66 times, so the rule is not invariant to eigenvalue normalization.
 """
 
 from __future__ import annotations

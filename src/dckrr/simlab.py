@@ -48,6 +48,7 @@ __all__ = [
     "MODELS",
     "SweepConfig",
     "FieldError",
+    "check_fields",
     "as_int",
     "as_real",
     "as_tuple_of",
@@ -71,8 +72,8 @@ class SweepError(RuntimeError):
 
 
 class FieldError(ValueError):
-    """A ``SweepConfig`` field of the wrong type or out of range: ``field``
-    names it and ``problem`` says what is wrong."""
+    """A config field of the wrong type or out of range: ``field`` names it
+    and ``problem`` says what is wrong."""
 
     def __init__(self, field: str, problem: str):
         super().__init__(f"{field} {problem}")
@@ -80,7 +81,7 @@ class FieldError(ValueError):
         self.problem = problem
 
 
-# Strict converters shared by ``SweepConfig`` and the ``diagnose`` config.
+# Strict converters shared by ``SweepConfig`` and ``cli.DiagnoseConfig``.
 # Each returns its value in the declared type or raises with a message that
 # reads after the field's name; none truncates, parses a string or takes a
 # bool for a number.
@@ -127,7 +128,7 @@ def _optional(convert):
     return lambda value: None if value is None else convert(value)
 
 
-# The converter of each declared field type of ``SweepConfig``.
+# The converter of each declared field type of a config dataclass.
 _CONVERTERS = {
     "str": lambda value: value,  # each str field is checked against its choices
     "int": as_int,
@@ -137,6 +138,22 @@ _CONVERTERS = {
     "tuple[int, ...]": as_tuple_of(as_int),
     "tuple[float, ...]": as_tuple_of(as_real),
 }
+
+
+def check_fields(config, checks) -> None:
+    """Convert each field of the frozen dataclass ``config`` to its declared
+    type with the converters above, then run ``checks()``: its
+    ``(field, ok, problem)`` triples read the converted fields, and the first
+    that is not ``ok`` raises ``FieldError`` naming its field."""
+    for f in fields(config):
+        try:
+            value = _CONVERTERS[f.type](getattr(config, f.name))
+        except (TypeError, ValueError) as exc:
+            raise FieldError(f.name, str(exc)) from exc
+        object.__setattr__(config, f.name, value)
+    for name, ok, problem in checks():
+        if not ok:
+            raise FieldError(name, f"{problem}, got {getattr(config, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -151,6 +168,8 @@ class SweepConfig:
     tuples. A value of the wrong type or out of range raises ``FieldError``
     naming its field.
     """
+
+    SECTIONS = ("lambda", "sigma2")  # the JSON objects; not a field
 
     model: str = "spline1d"
     c: float = 1.0
@@ -170,13 +189,7 @@ class SweepConfig:
     grid_size: int | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            try:
-                value = _CONVERTERS[f.type](getattr(self, f.name))
-            except (TypeError, ValueError) as exc:
-                raise FieldError(f.name, str(exc)) from exc
-            object.__setattr__(self, f.name, value)
-        checks = (
+        check_fields(self, lambda: (
             ("model", self.model in MODELS, f"must be one of {MODELS}"),
             ("lambda_source", self.lambda_source in ("rates", "explicit"),
              "must be 'rates' or 'explicit'"),
@@ -190,6 +203,9 @@ class SweepConfig:
             ("lambda_value", self.lambda_source != "explicit"
              or (self.lambda_value is not None and self.lambda_value > 0),
              "must be positive for an explicit lambda"),
+            # a rate-rule lambda never reads it, so a value here is a mistake
+            ("lambda_value", self.lambda_source == "explicit" or self.lambda_value is None,
+             "must be null for a rate-rule lambda"),
             ("sigma2_value", self.sigma2_mode != "known" or self.sigma2_value > 0,
              "must be positive for a known sigma2"),
             ("grid_size", self.grid_size is None or self.grid_size >= 2, "must be >= 2"),
@@ -198,10 +214,7 @@ class SweepConfig:
             # with mu_k ~ k^-2 the truncation rule needs more than M_CAP
             # eigenfunctions for any lambda below about 1e-2
             ("m", self.m >= 2, "must be >= 2"),
-        )
-        for name, ok, problem in checks:
-            if not ok:
-                raise FieldError(name, f"{problem}, got {getattr(self, name)!r}")
+        ))
         if self.model == "spline1d" and self.m not in SMOOTHING_SPLINE_ORDERS:
             raise FieldError(
                 "m", f"must be in {SMOOTHING_SPLINE_ORDERS} for spline1d, whose W^m[0,1] "

@@ -629,9 +629,6 @@ def _tail_mass(spec: Spectrum) -> float:
     if spec.family == "gaussian_rkhs":
         # the trace of the Gaussian operator on the unit cube is 1
         return max(0.0, 1.0 - float(np.sum(spec.eigenvalues)))
-    if spec.family == "thin_plate":
-        a = 2.0 * spec.m / spec.d
-        return spec.M ** (1.0 - a) / (a - 1.0)
     if spec.family == "explicit":
         return 0.0
     raise AssertionError("unreachable")

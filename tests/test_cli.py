@@ -166,6 +166,8 @@ class TestSweepCommand:
         ("base_seed", 1.7, "spline1d"),
         ("m", 2.9, "additive2d"),
         ("lambda", {"source": "explicit", "value": "1e-3"}, "spline1d"),
+        # a value a rate-rule lambda would never read
+        ("lambda", {"value": 1e-3}, "spline1d"),
     ])
     def test_bad_field_fails_fast_naming_it(self, tmp_path, monkeypatch, capsys, field, value, model):
         def never(cfg):
@@ -227,6 +229,17 @@ class TestSweepCommand:
         assert main(["sweep", "--preset", "nope", "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [["sweep", "--seed", "3"], ["sweep", "--workers", "2"],
+                                  ["diagnose", "--seed", "3"]])
+def test_override_of_a_config_that_is_not_an_object_is_config_error(tmp_path, capsys, argv):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+    assert not out.exists()
+
+
 # The keys of a sweep config, as the JSON spells them.
 SWEEP_KEYS = (
     "model", "c", "N_list", "rho_list", "replications", "alpha",
@@ -269,28 +282,29 @@ MALFORMED = st.one_of(
 )
 
 
-def _value(key):
-    """A valid or a malformed value of ``key``, each half of the time."""
-    return st.booleans().flatmap(lambda valid: VALID[key] if valid else MALFORMED)
+def _configs(keys, valid):
+    """Configs holding any of ``keys``, each with a valid or a malformed
+    value half of the time; a key ``section.key`` sits in its section."""
 
+    def value(key):
+        return st.booleans().flatmap(lambda ok: valid[key] if ok else MALFORMED)
 
-def _section(prefix):
+    sections = {key.split(".")[0] for key in keys if "." in key}
     return st.fixed_dictionaries({}, optional={
-        key[len(prefix):]: _value(key) for key in SWEEP_KEYS if key.startswith(prefix)
+        **{section: st.fixed_dictionaries({}, optional={
+            key[len(section) + 1:]: value(key) for key in keys if key.startswith(section + ".")
+        }) for section in sorted(sections)},
+        **{key: value(key) for key in keys if "." not in key},
     })
 
 
-SWEEP_CONFIGS = st.fixed_dictionaries({}, optional={
-    "lambda": _section("lambda."),
-    "sigma2": _section("sigma2."),
-    **{key: _value(key) for key in SWEEP_KEYS if "." not in key},
-})
+SWEEP_CONFIGS = _configs(SWEEP_KEYS, VALID)
 
 
-def _key(field):
-    """The config key of a ``SweepConfig`` field."""
+def _key(field, sections=("lambda", "sigma2")):
+    """The config key of a config dataclass field."""
     section, _, key = field.partition("_")
-    return f"{section}.{key}" if section in ("lambda", "sigma2") else field
+    return f"{section}.{key}" if section in sections else field
 
 
 def _flat(cfg):
@@ -321,26 +335,33 @@ def _is_given(value, given) -> bool:
     return type(given) is not bool and type(value) in (type(given), float) and value == given
 
 
+def _run(command, cfg, module, name, stub):
+    """``main([command, ...])`` on ``cfg`` with ``module.name`` replaced by
+    ``stub``: the exit code, stderr, and whether the output directory was
+    made."""
+    with (tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp,
+          contextlib.redirect_stderr(io.StringIO()) as err,
+          contextlib.redirect_stdout(io.StringIO())):
+        mp.setattr(module, name, stub)
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = os.path.join(tmp, "out")
+        code = main([command, "--config", path, "--out", out])
+        return code, err.getvalue(), os.path.exists(out)
+
+
 def _sweep(cfg):
-    """``main(["sweep", ...])`` on ``cfg`` with the experiment replaced by a
-    recorder: the exit code, stderr, the configs ``run_sweep`` got, and
-    whether the output directory was made."""
+    """``_run`` of ``sweep`` with the experiment replaced by a recorder of
+    the configs ``run_sweep`` got."""
     recorded = []
 
     def record(config):
         recorded.append(config)
         return simlab.ExperimentResult(config=config)
 
-    with (tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp,
-          contextlib.redirect_stderr(io.StringIO()) as err,
-          contextlib.redirect_stdout(io.StringIO())):
-        mp.setattr(simlab, "run_sweep", record)
-        path = os.path.join(tmp, "config.json")
-        with open(path, "w") as fh:
-            json.dump(cfg, fh)
-        out = os.path.join(tmp, "out")
-        code = main(["sweep", "--config", path, "--out", out])
-        return code, err.getvalue(), recorded, os.path.exists(out)
+    code, err, made = _run("sweep", cfg, simlab, "run_sweep", record)
+    return code, err, recorded, made
 
 
 class TestSweepSchema:
@@ -375,6 +396,84 @@ class TestSweepSchema:
             value = getattr(config, field.name)
             assert _has_type(value, types[field.name]), (field.name, value)
             key = _key(field.name)
+            if key in given:
+                assert _is_given(value, given[key]), (key, value, given[key])
+
+
+# The keys of a diagnose config, as the JSON spells them.
+DIAGNOSE_CONFIG_KEYS = (
+    "lambda_grid", "base_seed", "spectrum.family", "spectrum.m", "spectrum.d", "spectrum.M",
+    "spectrum.scale", "xi.N", "xi.s", "xi.lambda", "xi.seed",
+)
+DIAGNOSE_SECTIONS = ("spectrum", "xi")
+
+DIAGNOSE_VALID = {
+    "lambda_grid": st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=3),
+    "base_seed": st.integers(0, 10**6),
+    "spectrum.family": st.sampled_from(cli.DIAGNOSE_FAMILIES),
+    "spectrum.m": st.integers(1, 3),
+    "spectrum.d": st.integers(1, 3),
+    "spectrum.M": st.none() | st.integers(1, 512),
+    "spectrum.scale": st.floats(0.1, 10.0),
+    "xi.N": st.integers(1, 4096),
+    "xi.s": st.integers(1, 64),
+    "xi.lambda": st.none() | st.floats(1e-6, 1.0),
+    "xi.seed": st.integers(0, 10**6),
+}
+
+DIAGNOSE_CONFIGS = _configs(DIAGNOSE_CONFIG_KEYS, DIAGNOSE_VALID)
+
+
+def _diagnose(cfg):
+    """``_run`` of ``diagnose`` with the diagnostics replaced by a recorder
+    of the ``(config, xi)`` they got."""
+    recorded = []
+
+    def record(config, xi):
+        recorded.append((config, xi))
+        return {}
+
+    code, err, made = _run("diagnose", cfg, cli, "_diagnostics", record)
+    return code, err, recorded, made
+
+
+class TestDiagnoseSchema:
+    def test_keys_are_the_config_fields(self):
+        fields = {_key(f.name, DIAGNOSE_SECTIONS): f
+                  for f in dataclasses.fields(cli.DiagnoseConfig)}
+        assert set(fields) == set(DIAGNOSE_CONFIG_KEYS)
+        # every key is accepted, and a missing key takes the field's default;
+        # any key of the xi object turns the xi diagnostic on
+        for key, field in fields.items():
+            section, _, inner = key.rpartition(".")
+            default = list(field.default) if isinstance(field.default, tuple) else field.default
+            code, _, recorded, _ = _diagnose({section: {inner: default}} if section else
+                                             {key: default})
+            assert (code, recorded) == (EXIT_OK, [(cli.DiagnoseConfig(), section == "xi")]), key
+        # and nothing else: not a field's own name, a section key at the top or
+        # in the other section, nor the sweep's workers
+        for cfg in ({"spectrum_m": 2}, {"m": 2}, {"xi": {"xi_N": 64}}, {"spectrum": {"seed": 0}},
+                    {"xi": {"family": "spline"}}, {"workers": 1}):
+            code, err, recorded, _ = _diagnose(cfg)
+            assert (code, recorded) == (EXIT_CONFIG, []) and "unknown config key" in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=DIAGNOSE_CONFIGS)
+    def test_config_either_fails_naming_a_key_or_is_taken_as_written(self, cfg):
+        code, err, recorded, made = _diagnose(cfg)
+        if code == EXIT_CONFIG:
+            assert recorded == [] and not made
+            assert any(err.startswith(f"config error: {key} ") for key in DIAGNOSE_CONFIG_KEYS), err
+            return
+        assert code == EXIT_OK
+        ((config, xi),) = recorded
+        assert xi == bool(cfg.get("xi"))
+        given = _flat(cfg)
+        types = typing.get_type_hints(cli.DiagnoseConfig)
+        for field in dataclasses.fields(config):
+            value = getattr(config, field.name)
+            assert _has_type(value, types[field.name]), (field.name, value)
+            key = _key(field.name, DIAGNOSE_SECTIONS)
             if key in given:
                 assert _is_given(value, given[key]), (key, value, given[key])
 
@@ -498,11 +597,12 @@ class TestDiagnoseCommand:
         ({"spectrum": {"m": True}}, "spectrum.m"),
         ({"lambda_grid": "123"}, "lambda_grid"),
         ({"xi": {"lambda": math.nan}}, "xi.lambda"),
+        ({"workers": 2}, "'workers'"),
     ], ids=["m-two", "scale-wide", "famly", "lambda_grd", "lambda_grid-str",
             "xi.N-many", "xi.n", "xi.s-above-N", "m-0", "spline-m-3", "M-0", "M-too-coarse",
             "scale-negative", "lambda_grid-empty", "lambda_grid-0", "xi.lambda-0",
             "xi.seed-negative", "base_seed-str", "m-2.5", "xi.N-256.9", "m-true",
-            "lambda_grid-string", "xi.lambda-nan"])
+            "lambda_grid-string", "xi.lambda-nan", "workers-key"])
     def test_bad_field_fails_fast_naming_it(self, tmp_path, capsys, cfg, field):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps(cfg))
@@ -512,13 +612,29 @@ class TestDiagnoseCommand:
         assert err.startswith("config error") and field in err
         assert not out.exists()
 
-    def test_seed_and_workers_flags_are_accepted(self, tmp_path):
+    def test_seed_flag_is_accepted(self, tmp_path):
         cfg = tmp_path / "diag.json"
         cfg.write_text(json.dumps({"lambda_grid": [1e-2]}))
         out = tmp_path / "d"
         assert main(["diagnose", "--config", str(cfg), "--out", str(out),
-                     "--seed", "3", "--workers", "2"]) == EXIT_OK
+                     "--seed", "3"]) == EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+
+    def test_help_lists_only_the_flags_it_reads(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
+            "--help", "--config", "--out", "--seed"}
+
+    @pytest.mark.parametrize("flag", [["--preset", "spline-fig1"], ["--paper-scale"],
+                                      ["--workers", "2"]], ids=lambda f: f[0])
+    def test_sweep_only_flags_are_refused(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "--out", str(tmp_path / "d"), *flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_gaussian_xi_in_two_dimensions_not_three(self, tmp_path, capsys):
         # the Gaussian has eigenfunctions in every dimension, but the xi
