@@ -15,9 +15,7 @@ from dckrr.spectra import (
     additive,
     check_prop31_ratio,
     check_tail_sum,
-    eval_eigenfunction,
     eval_kernel_K,
-    eval_kernel_R,
     gaussian_rkhs,
     null_basis,
     periodic_sobolev,

@@ -103,7 +103,10 @@ PAPER_SCALE_REPS = {"spline-fig1": 100, "additive-fig2": 100}
 
 
 def _load_config(path: str | None, preset: str | None = None, paper_scale: bool = False):
-    """The JSON value of the config file ``path``, or the config of ``preset``."""
+    """The JSON value of the config file ``path``, or the config of ``preset``
+    (the parser refuses both at once); ``paper_scale`` applies to a preset only."""
+    if paper_scale and not preset:
+        raise ConfigError("--paper-scale applies to a --preset only")
     if preset:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
@@ -387,12 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose = sub.add_parser("diagnose", help="spectral and empirical-process diagnostics")
     diagnose.set_defaults(func=cmd_diagnose)
 
-    for p in (sweep, diagnose):
+    source = sweep.add_mutually_exclusive_group()
+    for p in (source, diagnose):
         p.add_argument("--config", help="path to a JSON config")
+    source.add_argument("--preset", help="named preset (spline-fig1, additive-fig2)")
+    for p in (sweep, diagnose):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override base_seed")
-    sweep.add_argument("--preset", help="named preset (spline-fig1, additive-fig2)")
-    sweep.add_argument("--paper-scale", action="store_true", help="full replication counts")
+    sweep.add_argument("--paper-scale", action="store_true",
+                       help="full replication counts for a --preset")
     sweep.add_argument("--workers", type=int, default=None, help="override workers")
     return ap
 

@@ -74,8 +74,6 @@ def prescribe(family: str, m: int, d: int, N: int, task: str) -> RatePrescriptio
     if family in ("spline", "additive"):
         if m < 1:
             raise ValueError("spline families require m > 1/2 (integer m >= 1)")
-        if task == "testing" and m < 1:
-            raise ValueError("testing requires m > 3/4 (integer m >= 1)")
         if family == "spline" and d != 1:
             raise ValueError("spline family is one-dimensional")
         if task == "estimation":

@@ -68,7 +68,8 @@ DEFAULT_GRID_2D = 64
 
 
 class SweepError(RuntimeError):
-    """Raised when more than 10% of a cell's replications fail."""
+    """Raised when more than 10% of a cell's replications fail, or before
+    any of them runs when its machines hold too few points to fit."""
 
 
 class FieldError(ValueError):
@@ -400,6 +401,11 @@ def _run_cell(cfg: SweepConfig, N: int, rho: float) -> CellResult:
     n = N // s
     lam = _cell_lambda(cfg, n)
     spec = _spectrum_for(cfg, lam)
+    if n < spec.null_dim:  # the unpenalized null space alone is underdetermined
+        raise SweepError(
+            f"cell N={N}, rho={rho}: each machine holds n={n} points, fewer than "
+            f"the null_dim={spec.null_dim} functions of the unpenalized null space"
+        )
     seeds = [cfg.base_seed + r for r in range(cfg.replications)]
 
     def one(seed):
@@ -455,8 +461,9 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     (``ArithmeticError``, ``ValueError`` or ``RuntimeError``, which cover
     ``LinAlgError`` and :class:`~dckrr.spectra.TruncationError`) are
     recorded; a cell with more than 10% failures raises
-    :class:`SweepError`. Any other exception is a programming error and
-    propagates. Aggregation is an ordered fold over the
+    :class:`SweepError`, as does a cell whose ``n`` is below the null
+    space's dimension, before any replication. Any other exception is a
+    programming error and propagates. Aggregation is an ordered fold over the
     replication index, so the result is identical for any worker count.
 
     The cells run with every OpenBLAS library in the process on one thread;

@@ -12,13 +12,16 @@ Nyström pairs from a Gauss–Legendre rule (see :func:`gaussian_rkhs`). For
 every family with eigenfunctions, ``R`` is the truncated sum: the Gaussian's
 closed form ``exp(-scale |x - y|^2)`` only builds its Nyström pairs.
 
-Some families have an unpenalized null space: functions with infinite
-eigenvalue. Periodic Sobolev and its additive extension have the constant
-(``has_constant=True``); the smoothing-spline family ``W^m[0,1]`` has the
-polynomials of degree ``< m``. The null space is handled symbolically: its
-``null_dim`` functions (see :func:`null_basis`) never appear in the stored
-eigenvalue array, each contributes exactly 1 to each spectral sum and
-``t(x) t(y)`` to ``K``, and they are fitted without penalty downstream.
+The basis is read one way. The finite eigenfunctions at points ``X`` are the
+columns of :func:`feature_matrix`, column ``j`` going with
+``spec.eigenvalues[j]``. The unpenalized null space, the functions with
+infinite eigenvalue, is the ``spec.null_dim`` columns of :func:`null_basis`:
+the constant for periodic Sobolev and its additive extension
+(``null_dim = 1``), the polynomials of degree ``< m`` for the smoothing-spline
+family ``W^m[0,1]`` (``null_dim = m``), and nothing for the rest. The null
+space never appears in the stored eigenvalue array; each of its functions
+contributes exactly 1 to each spectral sum and ``t(x) t(y)`` to ``K``, and
+they are fitted without penalty downstream.
 """
 
 from __future__ import annotations
@@ -42,10 +45,8 @@ __all__ = [
     "explicit_spectrum",
     "truncation_level",
     "smoothing_spline_level",
-    "eval_eigenfunction",
     "null_basis",
     "feature_matrix",
-    "eval_kernel_R",
     "eval_kernel_K",
     "gram_R",
     "spectral_sums",
@@ -83,11 +84,13 @@ class Spectrum:
     scale:
         Bandwidth parameter of the Gaussian kernel (ignored elsewhere).
     eigenvalues:
-        Finite eigenvalues ``mu_1 >= mu_2 >= ... > 0`` (the symbolic
-        null space, when present, is *not* stored here).
-    has_constant:
-        Whether the family contains the constant eigenfunction (the first
-        function of its null space).
+        Finite eigenvalues ``mu_1 >= mu_2 >= ... > 0``; eigenfunction
+        ``j`` is column ``j`` of :func:`feature_matrix`. The null space is
+        *not* stored here.
+    null_dim:
+        Dimension of the unpenalized null space, the columns of
+        :func:`null_basis`: 1 (the constant) for the periodic and additive
+        families, ``m`` for the smoothing spline, 0 otherwise.
     has_eigenfunctions:
         Whether eigenfunction evaluation is available.
     """
@@ -97,19 +100,12 @@ class Spectrum:
     d: int
     scale: float
     eigenvalues: NDArray[np.float64]
-    has_constant: bool
+    null_dim: int
     has_eigenfunctions: bool
 
     @property
     def M(self) -> int:
         return self.eigenvalues.shape[0]
-
-    @property
-    def null_dim(self) -> int:
-        """Dimension of the unpenalized null space (infinite eigenvalues)."""
-        if self.family == "smoothing_spline":
-            return self.m
-        return int(self.has_constant)
 
     @property
     def mu1(self) -> float:
@@ -120,8 +116,8 @@ class Spectrum:
         if not isinstance(other, Spectrum):
             return NotImplemented
         return (
-            (self.family, self.m, self.d, self.scale, self.has_constant)
-            == (other.family, other.m, other.d, other.scale, other.has_constant)
+            (self.family, self.m, self.d, self.scale, self.null_dim)
+            == (other.family, other.m, other.d, other.scale, other.null_dim)
             and self.eigenvalues.shape == other.eigenvalues.shape
             and bool(np.all(self.eigenvalues == other.eigenvalues))
         )
@@ -182,9 +178,10 @@ def truncation_level(m: int, lam: float, d: int = 1) -> int:
 def periodic_sobolev(m: int, M: int = M_DEFAULT) -> Spectrum:
     """Periodic Sobolev spectrum of order ``m`` on [0, 1].
 
-    Finite eigenpairs: ``mu_{2k-1} = mu_{2k} = (2*pi*k)^(-2m)`` with
-    eigenfunctions ``sqrt(2) sin(2*pi*k*x)`` and ``sqrt(2) cos(2*pi*k*x)``;
-    the constant eigenfunction (index 0) is symbolic.
+    Finite eigenpairs: columns ``2k - 2`` and ``2k - 1`` of
+    :func:`feature_matrix` are ``sqrt(2) sin(2*pi*k*x)`` and ``sqrt(2)
+    cos(2*pi*k*x)``, both with eigenvalue ``(2*pi*k)^(-2m)``; the constant
+    is the null space.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -198,7 +195,7 @@ def periodic_sobolev(m: int, M: int = M_DEFAULT) -> Spectrum:
         d=1,
         scale=0.0,
         eigenvalues=_pair_eigenvalues(m, M // 2),
-        has_constant=True,
+        null_dim=1,
         has_eigenfunctions=True,
     )
 
@@ -280,7 +277,7 @@ def smoothing_spline(m: int, M: int = M_DEFAULT) -> Spectrum:
         d=1,
         scale=0.0,
         eigenvalues=_spline_freqs(m, M) ** (-2.0 * m),
-        has_constant=True,
+        null_dim=m,
         has_eigenfunctions=True,
     )
 
@@ -295,11 +292,11 @@ def smoothing_spline_level(m: int, lam: float) -> int:
 def additive(m: int, d: int, M: int | None = None) -> Spectrum:
     """Additive periodic Sobolev spectrum on [0, 1]^d.
 
-    Finite indices interleave components fastest: index ``nu = p*d + k``
-    refers to the ``p``-th nonconstant eigenfunction of component
-    ``k in {1..d}``. A single global constant is symbolic. ``M`` counts the
-    finite eigenfunctions and must be a multiple of ``2*d`` so every
-    component gets complete sin/cos pairs.
+    The columns of :func:`feature_matrix` interleave components fastest:
+    column ``p*d + k`` is column ``p`` of the periodic basis in coordinate
+    ``k`` (all 0-based). A single global constant is the null space. ``M``
+    counts the finite eigenfunctions and must be a multiple of ``2*d`` so
+    every component gets complete sin/cos pairs.
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -319,7 +316,7 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
         d=d,
         scale=0.0,
         eigenvalues=eigenvalues,
-        has_constant=True,
+        null_dim=1,
         has_eigenfunctions=True,
     )
 
@@ -398,7 +395,7 @@ def gaussian_rkhs(d: int = 1, scale: float = 1.0, M: int = M_CAP) -> Spectrum:
         d=d,
         scale=float(scale),
         eigenvalues=_gaussian_basis(d, float(scale), M)[2],
-        has_constant=False,
+        null_dim=0,
         has_eigenfunctions=True,
     )
 
@@ -418,7 +415,7 @@ def thin_plate(m: int, d: int, M: int = M_DEFAULT) -> Spectrum:
         d=d,
         scale=0.0,
         eigenvalues=nu ** (-2.0 * m / d),
-        has_constant=False,
+        null_dim=0,
         has_eigenfunctions=False,
     )
 
@@ -437,13 +434,13 @@ def explicit_spectrum(eigenvalues) -> Spectrum:
         raise ValueError("eigenvalues must be positive and nonincreasing")
     return Spectrum(
         family="explicit", m=0, d=1, scale=0.0,
-        eigenvalues=mu, has_constant=False, has_eigenfunctions=False,
+        eigenvalues=mu, null_dim=0, has_eigenfunctions=False,
     )
 
 
 def _periodic_phi(M: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """phi_1 .. phi_M of the 1-d periodic family at the points ``x``, an
-    ``x.shape + (M,)`` array.
+    """The ``M`` finite eigenfunctions of the 1-d periodic family at the
+    points ``x``, an ``x.shape + (M,)`` array.
 
     Column ``2k - 2`` holds ``sqrt(2) sin(2 pi k x)`` and column ``2k - 1``
     holds ``sqrt(2) cos(2 pi k x)``; sin and cos are each computed only for
@@ -485,36 +482,6 @@ def _spline_phi(m: int, K: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
     tmp *= a
     out += tmp
     return out
-
-
-def eval_eigenfunction(spec: Spectrum, nu: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Evaluate eigenfunction ``phi_nu`` at points ``x``.
-
-    Index conventions: ``nu = 0`` is the constant (families with one; the
-    whole null space is evaluated by :func:`null_basis`); periodic Sobolev
-    uses ``nu = 2k-1`` (sin) / ``2k`` (cos); the smoothing spline uses
-    ``nu = k`` for the ``k``-th finite eigenfunction; the additive
-    family uses ``nu = p*d + k`` for the ``p``-th eigenfunction of component
-    ``k`` (so valid finite indices are ``d+1 .. d+M``). A finite ``phi_nu``
-    is column ``nu - first`` of :func:`feature_matrix`, ``first`` being the
-    smallest finite index. The additive family and all with ``d > 1`` read
-    ``x`` as points (see :func:`_as_points`) and return one value per point;
-    the others are evaluated elementwise and keep the shape of ``x``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    first = spec.d + 1 if spec.family == "additive" else 1
-    if spec.family == "additive" or spec.d > 1:
-        pts = _as_points(x, spec.d)
-        shape = pts.shape[:-1]
-    else:
-        pts, shape = x.reshape(-1), x.shape
-    if nu == 0:
-        if not spec.has_constant:
-            raise ValueError(f"{spec.family} spectrum has no constant eigenfunction")
-        return np.ones(shape, dtype=np.float64)
-    if not first <= nu < first + spec.M:
-        raise ValueError(f"nu must be in {first}..{first + spec.M - 1}, or 0 for the constant")
-    return feature_matrix(spec, pts)[:, nu - first].reshape(shape)
 
 
 def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -590,13 +557,6 @@ def gram_R(spec: Spectrum, X: NDArray[np.float64], Y: NDArray[np.float64]) -> ND
     ``R(x, y) = sum_nu mu_nu phi_nu(x) phi_nu(y)`` over the finite eigenpairs:
     ``(feature_matrix(X) * mu) @ feature_matrix(Y).T``."""
     return (feature_matrix(spec, X) * spec.eigenvalues) @ feature_matrix(spec, Y).T
-
-
-def eval_kernel_R(spec: Spectrum, x: NDArray[np.float64], y: NDArray[np.float64]) -> float:
-    """Reproducing kernel ``R(x, y)`` at a single pair of points."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    y = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    return float(gram_R(spec, x, y)[0, 0])
 
 
 def eval_kernel_K(spec: Spectrum, lam: float, x: NDArray[np.float64], y: NDArray[np.float64]) -> float:

@@ -228,6 +228,22 @@ class TestSweepCommand:
     def test_unknown_preset(self, tmp_path, capsys):
         assert main(["sweep", "--preset", "nope", "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_config_and_preset_are_mutually_exclusive(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, model="additive2d")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--preset", "spline-fig1", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_paper_scale_without_preset_is_config_error(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--paper-scale", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --paper-scale applies to a --preset only\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [["sweep", "--seed", "3"], ["sweep", "--workers", "2"],
                                   ["diagnose", "--seed", "3"]])

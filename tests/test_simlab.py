@@ -234,6 +234,20 @@ class TestRunSweep:
             result = run_sweep(cfg)
         assert result.cells[0].failures == 1 and result.cells[0].reps == 9
 
+    def test_machines_smaller_than_the_null_space_fail_before_any_replication(self, monkeypatch):
+        # N=64, rho=0.95: s=52 machines of n=1 point against {1, x}
+        calls = []
+        monkeypatch.setattr(simlab, "_run_replication", lambda *args: calls.append(args))
+        cfg = SweepConfig(N_list=(64,), rho_list=(0.95,), replications=3)
+        with pytest.raises(SweepError, match=r"N=64, rho=0.95: .*n=1 .*null_dim=2"):
+            run_sweep(cfg)
+        assert calls == []
+
+    def test_machines_as_large_as_the_null_space_run(self):
+        # N=64, rho=0.8: s=28 machines of n=2 points
+        cell = run_sweep(SweepConfig(N_list=(64,), rho_list=(0.8,), replications=3)).cells[0]
+        assert (cell.n, cell.reps, cell.failures) == (2, 3, 0)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_programming_errors_propagate(self, monkeypatch, workers):
         # only numerical failures are counted; a bug is raised, not absorbed

@@ -26,10 +26,12 @@ def _sub(xs, ys):
 
 
 def _oracle_exact_gram(spec, xs, ys, lam):
-    """Dense linear-algebra oracle for the exact-gram solve."""
+    """Dense linear-algebra oracle for the exact-gram solve, for a null space
+    that is the constant or nothing."""
     n = len(ys)
     R = gram_R(spec, xs, xs)
-    if spec.has_constant:
+    assert spec.null_dim <= 1
+    if spec.null_dim:
         A = np.zeros((n + 1, n + 1))
         A[:n, :n] = R + n * lam * np.eye(n)
         A[:n, n] = 1.0
@@ -41,11 +43,13 @@ def _oracle_exact_gram(spec, xs, ys, lam):
 
 
 def _oracle_truncated(spec, xs, ys, lam):
-    """Dense ridge oracle for the truncated-feature solve."""
+    """Dense ridge oracle for the truncated-feature solve, for a null space
+    that is the constant or nothing."""
     n = len(ys)
     psi = feature_matrix(spec, xs) * np.sqrt(spec.eigenvalues)
     M = spec.M
-    if spec.has_constant:
+    assert spec.null_dim <= 1
+    if spec.null_dim:
         Z = np.column_stack([np.ones(n), psi])
         P = np.eye(M + 1)
         P[0, 0] = 0.0  # intercept is unpenalized

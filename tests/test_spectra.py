@@ -17,9 +17,7 @@ from dckrr.spectra import (
     additive,
     check_prop31_ratio,
     check_tail_sum,
-    eval_eigenfunction,
     eval_kernel_K,
-    eval_kernel_R,
     explicit_spectrum,
     feature_matrix,
     gaussian_rkhs,
@@ -128,19 +126,21 @@ class TestEigenfunctions:
         spec = periodic_sobolev(2, M=8)
         x = np.array([0.3])
         root2 = math.sqrt(2)
-        assert eval_eigenfunction(spec, 0, x) == pytest.approx(1.0)
-        assert eval_eigenfunction(spec, 1, x)[0] == pytest.approx(root2 * math.sin(2 * math.pi * 0.3))
-        assert eval_eigenfunction(spec, 2, x)[0] == pytest.approx(root2 * math.cos(2 * math.pi * 0.3))
-        assert eval_eigenfunction(spec, 3, x)[0] == pytest.approx(root2 * math.sin(4 * math.pi * 0.3))
+        assert null_basis(spec, x)[0] == pytest.approx([1.0])  # the constant
+        phi = feature_matrix(spec, x)[0]
+        assert phi[0] == pytest.approx(root2 * math.sin(2 * math.pi * 0.3))
+        assert phi[1] == pytest.approx(root2 * math.cos(2 * math.pi * 0.3))
+        assert phi[2] == pytest.approx(root2 * math.sin(4 * math.pi * 0.3))
 
     def test_additive_index_map(self):
         spec = additive(2, 2, M=8)
         pts = np.array([[0.3, 0.7]])
         root2 = math.sqrt(2)
-        # nu = p*d + k: nu=3 -> (p=1, k=1), nu=4 -> (p=1, k=2), nu=5 -> (p=2, k=1)
-        assert eval_eigenfunction(spec, 3, pts)[0] == pytest.approx(root2 * math.sin(2 * math.pi * 0.3))
-        assert eval_eigenfunction(spec, 4, pts)[0] == pytest.approx(root2 * math.sin(2 * math.pi * 0.7))
-        assert eval_eigenfunction(spec, 5, pts)[0] == pytest.approx(root2 * math.cos(2 * math.pi * 0.3))
+        # column p*d + k is periodic column p of coordinate k: sin(x1), sin(x2), cos(x1)
+        phi = feature_matrix(spec, pts)[0]
+        assert phi[0] == pytest.approx(root2 * math.sin(2 * math.pi * 0.3))
+        assert phi[1] == pytest.approx(root2 * math.sin(2 * math.pi * 0.7))
+        assert phi[2] == pytest.approx(root2 * math.cos(2 * math.pi * 0.3))
 
     def test_orthonormality_quadrature(self):
         spec = periodic_sobolev(2, M=256)
@@ -148,13 +148,6 @@ class TestEigenfunctions:
         phi = feature_matrix(spec, grid)
         G = phi.T @ phi / 4096
         assert np.max(np.abs(G - np.eye(256))) < 1e-3
-
-    def test_feature_matrix_matches_pointwise_eval(self):
-        spec = periodic_sobolev(2, M=16)
-        x = RNG.uniform(size=5)
-        phi = feature_matrix(spec, x)
-        for nu in range(1, 17):
-            np.testing.assert_allclose(phi[:, nu - 1], eval_eigenfunction(spec, nu, x), rtol=1e-12)
 
     @pytest.mark.parametrize("spec", [periodic_sobolev(2, M=64), additive(2, 2, M=64)],
                              ids=["periodic", "additive"])
@@ -203,56 +196,27 @@ class TestEigenfunctions:
     def test_thin_plate_has_no_eigenfunctions(self):
         spec = thin_plate(2, 2)
         with pytest.raises(ValueError):
-            eval_eigenfunction(spec, 1, np.array([[0.5, 0.5]]))
+            feature_matrix(spec, np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError):
-            eval_kernel_R(spec, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
-
-    def test_index_bounds(self):
-        spec = periodic_sobolev(2, M=8)
-        with pytest.raises(ValueError):
-            eval_eigenfunction(spec, 9, np.array([0.5]))
-        gauss = gaussian_rkhs(1, M=8)
-        with pytest.raises(ValueError):
-            eval_eigenfunction(gauss, 0, np.array([0.5]))
-        addit = additive(2, 2, M=8)  # finite indices 3..10
-        assert eval_eigenfunction(addit, 10, np.array([[0.5, 0.5]])).shape == (1,)
-        for nu in (1, 2, 11):
-            with pytest.raises(ValueError):
-                eval_eigenfunction(addit, nu, np.array([[0.5, 0.5]]))
+            gram_R(spec, np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
 
     def test_one_point_in_d_dims_has_one_value(self):
-        # a 1-d x is one point when d > 1, for the constant as for the rest
+        # a 1-d x is one point when d > 1, for the null space as for the rest
         spec = additive(2, 2)
         x = np.array([0.3, 0.7])
-        for nu in (0, 3, 4):
-            assert eval_eigenfunction(spec, nu, x).shape == (1,)
-        assert eval_eigenfunction(spec, 0, x)[0] == 1.0
-        assert eval_eigenfunction(spec, 4, x)[0] == pytest.approx(math.sqrt(2) * math.sin(2 * math.pi * 0.7))
+        phi, null = feature_matrix(spec, x), null_basis(spec, x)
+        assert phi.shape == (1, spec.M) and null.shape == (1, 1)
+        assert null[0, 0] == 1.0
+        assert phi[0, 1] == pytest.approx(math.sqrt(2) * math.sin(2 * math.pi * 0.7))
 
     def test_additive_d1_reads_1d_input_as_points(self):
-        # additive(m, 1) is the periodic family with indices shifted by one
+        # additive(m, 1) is the periodic family, columns and constant alike
         addit, periodic = additive(2, 1, M=16), periodic_sobolev(2, M=16)
         x = RNG.uniform(size=5)
-        assert eval_eigenfunction(addit, 0, x).shape == (5,)
-        for nu in (1, 2, 16):
-            assert np.array_equal(eval_eigenfunction(addit, nu + 1, x), eval_eigenfunction(periodic, nu, x))
-            assert np.array_equal(eval_eigenfunction(addit, nu + 1, x.reshape(-1, 1)),
-                                  eval_eigenfunction(periodic, nu, x))
-
-    @pytest.mark.parametrize("spec", [
-        periodic_sobolev(2, M=16), smoothing_spline(1, M=16), smoothing_spline(2, M=16),
-        additive(2, 2, M=16), gaussian_rkhs(1, 0.7, M=16),
-    ], ids=["periodic", "spline1", "spline2", "additive", "gaussian"])
-    def test_values_are_feature_matrix_columns(self, spec):
-        pts = RNG.uniform(size=(7, spec.d))
-        X = pts[:, 0] if spec.d == 1 else pts
-        first = spec.d + 1 if spec.family == "additive" else 1
-        phi = feature_matrix(spec, X)
-        for j in range(spec.M):
-            assert np.array_equal(eval_eigenfunction(spec, first + j, X), phi[:, j])
-        if spec.d == 1:  # elementwise: the shape of x is kept
-            assert eval_eigenfunction(spec, 1, pts).shape == (7, 1)
-            assert eval_eigenfunction(spec, 1, np.float64(0.3)).shape == ()
+        for X in (x, x.reshape(-1, 1)):
+            assert np.array_equal(feature_matrix(addit, X), feature_matrix(periodic, x))
+            assert np.array_equal(null_basis(addit, X), null_basis(periodic, x))
+        assert null_basis(addit, x).shape == (5, 1)
 
     @pytest.mark.parametrize("spec", [
         periodic_sobolev(2, M=16), smoothing_spline(1, M=16), smoothing_spline(2, M=16),
@@ -308,7 +272,7 @@ class TestKernels:
         x = np.array([0.2, 0.4])
         y = np.array([0.7, 0.1])
         expected = math.exp(-1.5 * float(np.sum((x - y) ** 2)))
-        assert eval_kernel_R(spec, x, y) == pytest.approx(expected, rel=1e-15)
+        assert gram_R(spec, x, y)[0, 0] == pytest.approx(expected, rel=1e-15)
 
     @pytest.mark.parametrize("d,scale", [(1, 1.0), (1, 2.7), (1, 0.4)])
     def test_gaussian_gram_equals_the_broadcast_form(self, d, scale):
@@ -339,7 +303,7 @@ class TestKernels:
         x, y = 0.37, 0.81
         k = np.arange(1, 33)
         oracle = float(np.sum(2 * (2 * np.pi * k) ** -4.0 * np.cos(2 * np.pi * k * (x - y))))
-        assert eval_kernel_R(spec, np.array([x]), np.array([y])) == pytest.approx(oracle, rel=1e-12)
+        assert gram_R(spec, np.array([x]), np.array([y]))[0, 0] == pytest.approx(oracle, rel=1e-12)
 
     def test_K_large_lambda_limit(self):
         spec = periodic_sobolev(2, M=32)
@@ -353,13 +317,10 @@ class TestKernels:
         spec = periodic_sobolev(2, M=16)
         lam = 1e-3
         x, y = np.array([0.15]), np.array([0.92])
+        fx, fy = feature_matrix(spec, x)[0], feature_matrix(spec, y)[0]
         acc = 1.0  # constant term
-        for nu in range(1, 17):
-            acc += (
-                eval_eigenfunction(spec, nu, x)[0]
-                * eval_eigenfunction(spec, nu, y)[0]
-                / (1 + lam / spec.eigenvalues[nu - 1])
-            )
+        for j in range(16):
+            acc += fx[j] * fy[j] / (1 + lam / spec.eigenvalues[j])
         assert eval_kernel_K(spec, lam, x, y) == pytest.approx(acc, abs=1e-12)
 
     def test_kernel_bound_over_grid(self):
@@ -375,10 +336,6 @@ class TestKernels:
         X = RNG.uniform(size=6)
         G = gram_R(spec, X, X)
         assert np.allclose(G, G.T)
-        for i in range(6):
-            assert G[i, i] == pytest.approx(
-                eval_kernel_R(spec, np.array([X[i]]), np.array([X[i]])), rel=1e-12
-            )
 
 
 def _level_or_none(level, *args):
@@ -588,11 +545,12 @@ class TestSmoothingSpline:
         # oracle: cosh(bx) + cos(bx) - sigma (sinh(bx) + sin(bx)), exact for small b
         spec = smoothing_spline(2, M=5)
         x = np.linspace(0.0, 1.0, 41)
+        phi = feature_matrix(spec, x)
         for k in range(1, 6):
             b = _beam_root(k)
             sigma = (math.cosh(b) - math.cos(b)) / (math.sinh(b) - math.sin(b))
             oracle = np.cosh(b * x) + np.cos(b * x) - sigma * (np.sinh(b * x) + np.sin(b * x))
-            np.testing.assert_allclose(eval_eigenfunction(spec, k, x), oracle, atol=1e-8)
+            np.testing.assert_allclose(phi[:, k - 1], oracle, atol=1e-8)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_orthonormal_and_orthogonal_to_null_space(self, m):
@@ -692,7 +650,27 @@ class TestSmoothingSpline:
 def test_spectrum_equality_semantics():
     assert periodic_sobolev(2, M=16) == periodic_sobolev(2, M=16)
     assert periodic_sobolev(2, M=16) != periodic_sobolev(2, M=32)
-    assert periodic_sobolev(2, M=16) != Spectrum(
+    spec = periodic_sobolev(2, M=16)
+    assert spec != Spectrum(
         family="periodic_sobolev", m=2, d=1, scale=0.0,
-        eigenvalues=np.ones(16), has_constant=True, has_eigenfunctions=True,
+        eigenvalues=np.ones(16), null_dim=1, has_eigenfunctions=True,
     )
+    assert spec != Spectrum(
+        family="periodic_sobolev", m=2, d=1, scale=0.0,
+        eigenvalues=spec.eigenvalues, null_dim=0, has_eigenfunctions=True,
+    )
+
+
+@pytest.mark.parametrize("spec,null_dim", [
+    (periodic_sobolev(2, M=16), 1),
+    (smoothing_spline(1, M=16), 1),
+    (smoothing_spline(2, M=16), 2),
+    (additive(2, 2, M=16), 1),
+    (gaussian_rkhs(2, 1.0, M=16), 0),
+    (thin_plate(2, 2, M=16), 0),
+    (explicit_spectrum([1.0, 0.5, 0.25]), 0),
+], ids=["periodic", "spline1", "spline2", "additive", "gaussian", "thin_plate", "explicit"])
+def test_null_dim_is_each_familys_null_space(spec, null_dim):
+    # a field set by each constructor: the number of null_basis columns
+    assert spec.null_dim == null_dim
+    assert null_basis(spec, RNG.uniform(size=(5, spec.d))).shape == (5, null_dim)
