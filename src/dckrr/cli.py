@@ -30,20 +30,13 @@ import numpy as np
 
 from dckrr import __version__, dnc, rates, simlab
 from dckrr.spectra import (
-    M_CAP,
-    M_DEFAULT,
+    FAMILIES,
     TruncationError,
-    additive,
     check_prop31_ratio,
     check_tail_sum,
     eval_kernel_K,
-    gaussian_rkhs,
-    periodic_sobolev,
-    smoothing_spline,
-    smoothing_spline_level,
     spectral_sums,
-    thin_plate,
-    truncation_level,
+    spectrum_for,
 )
 
 EXIT_OK = 0
@@ -224,22 +217,17 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
-DIAGNOSE_FAMILIES = ("spline", "periodic_sobolev", "additive", "gaussian", "gaussian_rkhs",
-                     "thin_plate")
-
-
 @dataclasses.dataclass(frozen=True)
 class DiagnoseConfig:
     """The schema of ``dckrr diagnose`` configs, as ``simlab.SweepConfig`` is
     of sweep configs: a field ``spectrum_<key>`` or ``xi_<key>`` is the key
     ``<key>`` of that JSON object, every other field a top-level key, and the
     defaults here are the only defaults. The ``xi`` diagnostic runs when the
-    config holds a non-empty ``xi`` object."""
+    config holds a non-empty ``xi`` object, and ``xi_seed`` is its one seed."""
 
     SECTIONS = ("spectrum", "xi")  # the JSON objects; not a field
 
     lambda_grid: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    base_seed: int = 0
     spectrum_family: str = "spline"
     spectrum_m: int = 2
     spectrum_d: int = 1
@@ -253,9 +241,7 @@ class DiagnoseConfig:
     def __post_init__(self):
         simlab.check_fields(self, lambda: (
             ("lambda_grid", min(self.lambda_grid) > 0, "must hold positive values"),
-            ("base_seed", self.base_seed >= 0, "must be >= 0"),
-            ("spectrum_family", self.spectrum_family in DIAGNOSE_FAMILIES,
-             f"must be one of {DIAGNOSE_FAMILIES}"),
+            ("spectrum_family", self.spectrum_family in FAMILIES, f"must be one of {FAMILIES}"),
             ("spectrum_m", self.spectrum_m >= 1, "must be >= 1"),
             ("spectrum_d", self.spectrum_d >= 1, "must be >= 1"),
             ("spectrum_M", self.spectrum_M is None or self.spectrum_M >= 1, "must be >= 1"),
@@ -271,47 +257,16 @@ class DiagnoseConfig:
         return self.lambda_grid[0] if self.xi_lambda is None else self.xi_lambda
 
 
-def _diag_spectrum(cfg: DiagnoseConfig):
-    """The spectrum a diagnose config names, resolved at the finest ``lambda``
-    of the grid: ``spline`` is the smoothing spline that ``spline1d`` sweeps
-    fit, ``periodic_sobolev`` the periodic family."""
-    fam, m, d, M = cfg.spectrum_family, cfg.spectrum_m, cfg.spectrum_d, cfg.spectrum_M
-    lam = min(cfg.lambda_grid)
-    try:
-        if fam == "spline":
-            spec = smoothing_spline(m, M or smoothing_spline_level(m, lam))
-        elif fam == "periodic_sobolev":
-            spec = periodic_sobolev(m, M or truncation_level(m, lam))
-        elif fam == "additive":
-            spec = additive(m, d, M or truncation_level(m, lam, d))
-        elif fam == "thin_plate":
-            spec = thin_plate(m, d, M or M_DEFAULT)
-        else:
-            spec = gaussian_rkhs(d, cfg.spectrum_scale, M or M_CAP)
-        spectral_sums(spec, lam)  # a level that resolves the finest lambda resolves all
-    except ValueError as exc:  # the family's own limits, TruncationError included
-        raise ConfigError(f"spectrum: {exc}") from exc
-    return spec
-
-
-def _basis_sup_sq(spec) -> float | None:
-    """``sup phi(x)^2`` over ``[0, 1]^d`` and the family's basis, null space
-    included, so that ``K(x, x) <= sup * h_inv``: 4 for the ``W^2`` smoothing
-    spline (beam modes are 2 at the ends, and ``3 (2x - 1)^2 <= 3``), 2 for
-    the ``sqrt(2)`` sin/cos bases. The Gaussian's Nyström eigenfunctions
-    have no uniform bound (``None``)."""
-    if spec.family == "smoothing_spline" and spec.m == 2:
-        return 4.0
-    if spec.family in ("smoothing_spline", "periodic_sobolev", "additive"):
-        return 2.0
-    return None
-
-
 def _diagnostics(cfg: DiagnoseConfig, xi: bool) -> dict:
     """The report of ``dckrr diagnose``, with the ``xi`` summary when ``xi``.
     A spectrum the family cannot build, or an ``xi`` diagnostic it does not
-    support, is a config error raised before any diagnostic runs."""
-    spec = _diag_spectrum(cfg)
+    support, is a config error raised before any diagnostic runs. The
+    spectrum is the family's at the finest ``lambda`` of the grid."""
+    try:
+        spec = spectrum_for(cfg.spectrum_family, cfg.spectrum_m, cfg.spectrum_d,
+                            min(cfg.lambda_grid), cfg.spectrum_M, cfg.spectrum_scale)
+    except ValueError as exc:  # the family's own limits, TruncationError included
+        raise ConfigError(f"spectrum: {exc}") from exc
     if xi and (not spec.has_eigenfunctions or spec.d > 2):  # designs come from 1-D or 2-D models
         raise ConfigError(f"unsupported: xi diagnostic unavailable for {spec.family} "
                           f"with d={spec.d}")
@@ -331,12 +286,11 @@ def _diagnostics(cfg: DiagnoseConfig, xi: bool) -> dict:
         pts = grid.reshape(-1, 1) if spec.d == 1 else np.column_stack([grid] * spec.d)
         kxx = max(eval_kernel_K(spec, lam0, p, p) for p in pts)
         h_inv = spectral_sums(spec, lam0).h_inv
-        sup = _basis_sup_sq(spec)
         report["kernel_bound"] = {
             "lambda": lam0,
             "max_K_xx": kxx,
             "h_inv": h_inv,
-            "ok": None if sup is None else kxx <= sup * h_inv,
+            "ok": None if spec.sup_sq is None else kxx <= spec.sup_sq * h_inv,
         }
     if xi:
         model = "spline1d" if spec.d == 1 else "additive2d"
@@ -357,7 +311,7 @@ def cmd_diagnose(args) -> int:
     t0 = time.perf_counter()
     try:
         raw = _load_config(args.config) if args.config else {}
-        cfg = _config(DiagnoseConfig, raw, base_seed=args.seed)
+        cfg = _config(DiagnoseConfig, raw)
         report = _diagnostics(cfg, xi=bool(raw.get("xi")))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -367,7 +321,7 @@ def cmd_diagnose(args) -> int:
     with open(path, "w", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args.out, dataclasses.asdict(cfg), [path], cfg.base_seed, t0)
+    _write_manifest(args.out, dataclasses.asdict(cfg), [path], cfg.xi_seed, t0)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -396,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--preset", help="named preset (spline-fig1, additive-fig2)")
     for p in (sweep, diagnose):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override base_seed")
+    sweep.add_argument("--seed", type=int, default=None, help="override base_seed")
     sweep.add_argument("--paper-scale", action="store_true",
                        help="full replication counts for a --preset")
     sweep.add_argument("--workers", type=int, default=None, help="override workers")

@@ -35,14 +35,7 @@ from numpy.typing import NDArray
 from dckrr import dnc, rates
 from dckrr.inference import estimate_sigma2, test_statistic
 from dckrr.solver import SOLVE_PATHS
-from dckrr.spectra import (
-    SMOOTHING_SPLINE_ORDERS,
-    Spectrum,
-    additive,
-    smoothing_spline,
-    smoothing_spline_level,
-    truncation_level,
-)
+from dckrr.spectra import Spectrum, spectrum_for
 
 __all__ = [
     "MODELS",
@@ -213,14 +206,12 @@ class SweepConfig:
             ("base_seed", self.base_seed >= 0, "must be >= 0"),
             ("workers", self.workers >= 1, "must be >= 1"),
             # with mu_k ~ k^-2 the truncation rule needs more than M_CAP
-            # eigenfunctions for any lambda below about 1e-2
-            ("m", self.m >= 2, "must be >= 2"),
+            # eigenfunctions for any lambda below about 1e-2; and W^m[0,1]
+            # has closed-form eigenpairs for m <= 2 only, so spline1d takes 2
+            ("m", self.model == "spline1d" or self.m >= 2, "must be >= 2"),
         ))
-        if self.model == "spline1d" and self.m not in SMOOTHING_SPLINE_ORDERS:
-            raise FieldError(
-                "m", f"must be in {SMOOTHING_SPLINE_ORDERS} for spline1d, whose W^m[0,1] "
-                f"smoothing-spline family is implemented for those orders only, got m={self.m}"
-            )
+        if self.model == "spline1d" and self.m != 2:
+            raise FieldError("m", f"must be 2 for spline1d, got m={self.m}")
 
     @property
     def d(self) -> int:
@@ -311,12 +302,6 @@ def mse_of_estimate(
     return float(np.mean((dnc.predict_bar(est, grid) - truth) ** 2))
 
 
-def _spectrum_for(cfg: SweepConfig, lam: float) -> Spectrum:
-    if cfg.model == "spline1d":
-        return smoothing_spline(cfg.m, M=smoothing_spline_level(cfg.m, lam))
-    return additive(cfg.m, d=2, M=truncation_level(cfg.m, lam, cfg.d))
-
-
 def _cell_lambda(cfg: SweepConfig, n: int) -> float:
     """Regularization for one cell.
 
@@ -400,7 +385,7 @@ def _run_cell(cfg: SweepConfig, N: int, rho: float) -> CellResult:
     s = max(1, math.floor(N**rho + 0.5))
     n = N // s
     lam = _cell_lambda(cfg, n)
-    spec = _spectrum_for(cfg, lam)
+    spec = spectrum_for(cfg.family, cfg.m, cfg.d, lam)
     if n < spec.null_dim:  # the unpenalized null space alone is underdetermined
         raise SweepError(
             f"cell N={N}, rho={rho}: each machine holds n={n} points, fewer than "

@@ -22,6 +22,9 @@ family ``W^m[0,1]`` (``null_dim = m``), and nothing for the rest. The null
 space never appears in the stored eigenvalue array; each of its functions
 contributes exactly 1 to each spectral sum and ``t(x) t(y)`` to ``K``, and
 they are fitted without penalty downstream.
+
+Each constructor also sets the family's bounds ``tail`` and ``sup_sq`` (see
+:class:`Spectrum`); :func:`spectrum_for` builds a family by its config name.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ __all__ = [
     "gaussian_rkhs",
     "thin_plate",
     "explicit_spectrum",
+    "FAMILIES",
+    "spectrum_for",
     "truncation_level",
     "smoothing_spline_level",
     "null_basis",
@@ -63,6 +68,9 @@ GAUSS_FLOOR = 1e-15  # Gaussian eigenvalues kept: mu > GAUSS_FLOOR * mu_1
 
 SMOOTHING_SPLINE_ORDERS = (1, 2)  # orders with closed-form eigenpairs
 
+# config names of the families; ``spline`` is the smoothing spline
+FAMILIES = ("spline", "periodic_sobolev", "additive", "gaussian", "gaussian_rkhs", "thin_plate")
+
 
 class TruncationError(ValueError):
     """Raised when a truncation level cannot represent the kernel accurately."""
@@ -76,7 +84,7 @@ class Spectrum:
     ----------
     family:
         One of ``periodic_sobolev``, ``smoothing_spline``, ``additive``,
-        ``gaussian_rkhs``, ``thin_plate``.
+        ``gaussian_rkhs``, ``thin_plate``, ``explicit``.
     m:
         Smoothness order (unused for ``gaussian_rkhs``).
     d:
@@ -91,6 +99,13 @@ class Spectrum:
         Dimension of the unpenalized null space, the columns of
         :func:`null_basis`: 1 (the constant) for the periodic and additive
         families, ``m`` for the smoothing spline, 0 otherwise.
+    tail:
+        Bound on ``sum_{nu > M} mu_nu``, which :func:`spectral_sums` holds
+        the level to; 0 for the thin-plate and explicit spectra.
+    sup_sq:
+        Bound on ``phi(x)^2`` over ``[0, 1]^d`` and the whole basis, null
+        space included, so that ``K(x, x) <= sup_sq * h_inv``; ``None`` for
+        the Gaussian (no uniform bound), thin-plate and explicit spectra.
     has_eigenfunctions:
         Whether eigenfunction evaluation is available.
     """
@@ -101,6 +116,8 @@ class Spectrum:
     scale: float
     eigenvalues: NDArray[np.float64]
     null_dim: int
+    tail: float
+    sup_sq: float | None
     has_eigenfunctions: bool
 
     @property
@@ -116,8 +133,9 @@ class Spectrum:
         if not isinstance(other, Spectrum):
             return NotImplemented
         return (
-            (self.family, self.m, self.d, self.scale, self.null_dim)
-            == (other.family, other.m, other.d, other.scale, other.null_dim)
+            (self.family, self.m, self.d, self.scale, self.null_dim, self.tail, self.sup_sq)
+            == (other.family, other.m, other.d, other.scale, other.null_dim, other.tail,
+                other.sup_sq)
             and self.eigenvalues.shape == other.eigenvalues.shape
             and bool(np.all(self.eigenvalues == other.eigenvalues))
         )
@@ -141,6 +159,22 @@ def _pair_eigenvalues(m: int, n_pairs: int) -> NDArray[np.float64]:
     """Eigenvalues (2*pi*k)^(-2m), each repeated for the sin/cos pair."""
     k = np.arange(1, n_pairs + 1, dtype=np.float64)
     return np.repeat((2.0 * np.pi * k) ** (-2 * m), 2)
+
+
+def _pair_tail(m: int, d: int, M: int) -> float:
+    """The ``tail`` of ``d`` periodic components truncated at ``M`` in all:
+    ``M // (2d)`` complete sin/cos pairs each, bounded by the integral."""
+    k_max = float(M // (2 * d))
+    return 2.0 * d * (2.0 * np.pi) ** (-2 * m) * k_max ** (1 - 2 * m) / (2 * m - 1)
+
+
+def _check_level(M: int, unit: int) -> None:
+    """Refuse a level ``M`` of finite eigenfunctions that is not a positive
+    multiple of the family's ``unit`` within the cap ``M_CAP``."""
+    if M < unit or M % unit:
+        raise ValueError(f"M must be a positive multiple of {unit}, got M={M}")
+    if M > M_CAP:
+        raise TruncationError(f"M={M} exceeds cap {M_CAP}")
 
 
 def _level(make, m: int, lam: float, unit: int) -> int:
@@ -185,10 +219,7 @@ def periodic_sobolev(m: int, M: int = M_DEFAULT) -> Spectrum:
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if M < 2 or M % 2:
-        raise ValueError("M must be a positive even number of eigenfunctions")
-    if M > M_CAP:
-        raise TruncationError(f"M={M} exceeds cap {M_CAP}")
+    _check_level(M, 2)
     return Spectrum(
         family="periodic_sobolev",
         m=m,
@@ -196,6 +227,8 @@ def periodic_sobolev(m: int, M: int = M_DEFAULT) -> Spectrum:
         scale=0.0,
         eigenvalues=_pair_eigenvalues(m, M // 2),
         null_dim=1,
+        tail=_pair_tail(m, 1, M),
+        sup_sq=2.0,
         has_eigenfunctions=True,
     )
 
@@ -261,16 +294,16 @@ def smoothing_spline(m: int, M: int = M_DEFAULT) -> Spectrum:
       ``sigma_k = (cosh b - cos b) / (sinh b - sin b)`` and
       ``mu_k = b_k^(-4)``.
 
-    Other orders have no closed form and are rejected.
+    Other orders have no closed form and are rejected. As ``b_k > k pi``,
+    ``mu_k <= (k pi)^(-2m)`` bounds the ``tail``. ``sup_sq`` is 2 for the
+    cosines and 4 for the beam modes, which are 2 at the ends of ``[0, 1]``
+    (and ``3 (2x - 1)^2 <= 3`` in the null space).
     """
     if m not in SMOOTHING_SPLINE_ORDERS:
         raise ValueError(
             f"smoothing_spline is implemented for m in {SMOOTHING_SPLINE_ORDERS}, got m={m}"
         )
-    if M < 1:
-        raise ValueError("M must be a positive number of eigenfunctions")
-    if M > M_CAP:
-        raise TruncationError(f"M={M} exceeds cap {M_CAP}")
+    _check_level(M, 1)
     return Spectrum(
         family="smoothing_spline",
         m=m,
@@ -278,6 +311,8 @@ def smoothing_spline(m: int, M: int = M_DEFAULT) -> Spectrum:
         scale=0.0,
         eigenvalues=_spline_freqs(m, M) ** (-2.0 * m),
         null_dim=m,
+        tail=np.pi ** (-2 * m) * float(M) ** (1 - 2 * m) / (2 * m - 1),
+        sup_sq=2.0 if m == 1 else 4.0,
         has_eigenfunctions=True,
     )
 
@@ -302,10 +337,7 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
         raise ValueError("d must be a positive integer")
     if M is None:
         M = math.ceil(M_DEFAULT / (2 * d)) * 2 * d
-    if M % (2 * d):
-        raise ValueError("M must be a multiple of 2*d")
-    if M > M_CAP:
-        raise TruncationError(f"M={M} exceeds cap {M_CAP}")
+    _check_level(M, 2 * d)
     per_comp = M // d
     mu_comp = _pair_eigenvalues(m, per_comp // 2)  # mu(p) for p = 1..per_comp
     # interleave: index j = (p-1)*d + k  ->  mu(p)
@@ -317,6 +349,8 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
         scale=0.0,
         eigenvalues=eigenvalues,
         null_dim=1,
+        tail=_pair_tail(m, d, M),
+        sup_sq=2.0,
         has_eigenfunctions=True,
     )
 
@@ -379,9 +413,9 @@ def gaussian_rkhs(d: int = 1, scale: float = 1.0, M: int = M_CAP) -> Spectrum:
     ``U[0,1]^d``: Nyström pairs on Gauss–Legendre nodes, tensor products for
     ``d > 1`` (see :func:`_gaussian_basis`). Eigenvalues above ``GAUSS_FLOOR
     * mu_1`` are kept, at most ``M`` (by default all); as ``integral K(x, x)
-    dx = 1``, the discarded mass is ``1 - sum(mu)``. The reproducing kernel
-    of the spectrum, and of every fit in it, is the truncated sum
-    ``sum_nu mu_nu phi_nu(x) phi_nu(y)`` (see :func:`gram_R`).
+    dx = 1``, the discarded mass, the ``tail``, is ``1 - sum(mu)``. The
+    reproducing kernel of the spectrum, and of every fit in it, is the
+    truncated sum ``sum_nu mu_nu phi_nu(x) phi_nu(y)`` (see :func:`gram_R`).
     """
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -389,13 +423,16 @@ def gaussian_rkhs(d: int = 1, scale: float = 1.0, M: int = M_CAP) -> Spectrum:
         raise ValueError("scale must be positive")
     if M < 1:
         raise ValueError("M must be a positive number of eigenfunctions")
+    mu = _gaussian_basis(d, float(scale), M)[2]
     return Spectrum(
         family="gaussian_rkhs",
         m=0,
         d=d,
         scale=float(scale),
-        eigenvalues=_gaussian_basis(d, float(scale), M)[2],
+        eigenvalues=mu,
         null_dim=0,
+        tail=max(0.0, 1.0 - float(np.sum(mu))),
+        sup_sq=None,
         has_eigenfunctions=True,
     )
 
@@ -404,10 +441,13 @@ def thin_plate(m: int, d: int, M: int = M_DEFAULT) -> Spectrum:
     """Thin-plate spectrum, eigenvalues only: ``mu_nu = nu^(-2m/d)``.
 
     No eigenfunctions and no kernel evaluation are available; the spectrum
-    supports spectral sums and rate prescriptions only.
+    supports spectral sums and rate prescriptions only. Its ``tail`` is 0:
+    with polynomial decay the tolerance of :func:`spectral_sums` is out of
+    reach under ``M_CAP``, so its sums are declared ``M``-term partial sums.
     """
     if 2 * m <= d:
         raise ValueError("thin-plate spectra require 2m > d")
+    _check_level(M, 1)
     nu = np.arange(1, M + 1, dtype=np.float64)
     return Spectrum(
         family="thin_plate",
@@ -416,6 +456,8 @@ def thin_plate(m: int, d: int, M: int = M_DEFAULT) -> Spectrum:
         scale=0.0,
         eigenvalues=nu ** (-2.0 * m / d),
         null_dim=0,
+        tail=0.0,
+        sup_sq=None,
         has_eigenfunctions=False,
     )
 
@@ -433,9 +475,36 @@ def explicit_spectrum(eigenvalues) -> Spectrum:
     if np.any(mu <= 0) or np.any(np.diff(mu) > 0):
         raise ValueError("eigenvalues must be positive and nonincreasing")
     return Spectrum(
-        family="explicit", m=0, d=1, scale=0.0,
-        eigenvalues=mu, null_dim=0, has_eigenfunctions=False,
+        family="explicit", m=0, d=1, scale=0.0, eigenvalues=mu,
+        null_dim=0, tail=0.0, sup_sq=None, has_eigenfunctions=False,
     )
+
+
+def spectrum_for(family: str, m: int, d: int, lam: float, M: int | None = None,
+                 scale: float = 1.0) -> Spectrum:
+    """The spectrum of the family named ``family`` (one of :data:`FAMILIES`)
+    at level ``M``, checked to resolve ``lam`` and so every larger ``lambda``.
+
+    ``M = None`` is the family's default level: :func:`smoothing_spline_level`
+    or :func:`truncation_level` at ``lam``, ``M_DEFAULT`` for the thin plate,
+    and every kept pair for the Gaussian, the one family that reads ``scale``.
+    A spectrum the family cannot build raises ``ValueError``, and one that
+    does not resolve ``lam`` :class:`TruncationError`.
+    """
+    if family == "spline":
+        spec = smoothing_spline(m, smoothing_spline_level(m, lam) if M is None else M)
+    elif family == "periodic_sobolev":
+        spec = periodic_sobolev(m, truncation_level(m, lam) if M is None else M)
+    elif family == "additive":
+        spec = additive(m, d, truncation_level(m, lam, d) if M is None else M)
+    elif family == "thin_plate":
+        spec = thin_plate(m, d, M_DEFAULT if M is None else M)
+    elif family in ("gaussian", "gaussian_rkhs"):
+        spec = gaussian_rkhs(d, scale, M_CAP if M is None else M)
+    else:
+        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
+    spectral_sums(spec, lam)
+    return spec
 
 
 def _periodic_phi(M: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -574,26 +643,6 @@ def eval_kernel_K(spec: Spectrum, lam: float, x: NDArray[np.float64], y: NDArray
     return val + float(null_basis(spec, x)[0] @ null_basis(spec, y)[0])
 
 
-def _tail_mass(spec: Spectrum) -> float:
-    """Bound on ``sum_{nu > M} mu_nu`` beyond the truncation."""
-    if spec.family in ("periodic_sobolev", "additive"):
-        m, d = spec.m, spec.d
-        k_max = spec.M // (2 * d)  # complete pairs per component
-        # 2 functions per frequency, d components, integral tail bound
-        return 2.0 * d * (2.0 * np.pi) ** (-2 * m) * k_max ** (1 - 2 * m) / (2 * m - 1)
-    if spec.family == "smoothing_spline":
-        # one function per frequency, and b_k > k*pi for both orders, so
-        # mu_k <= (k pi)^(-2m): integral tail bound over singles
-        m = spec.m
-        return np.pi ** (-2 * m) * spec.M ** (1 - 2 * m) / (2 * m - 1)
-    if spec.family == "gaussian_rkhs":
-        # the trace of the Gaussian operator on the unit cube is 1
-        return max(0.0, 1.0 - float(np.sum(spec.eigenvalues)))
-    if spec.family == "explicit":
-        return 0.0
-    raise AssertionError("unreachable")
-
-
 def spectral_sums(spec: Spectrum, lam: float) -> SpectralSums:
     """Effective-dimension sums ``h_inv`` and ``h_inv2`` at level ``lam``.
 
@@ -606,11 +655,8 @@ def spectral_sums(spec: Spectrum, lam: float) -> SpectralSums:
     const = float(spec.null_dim)
     h_inv = const + float(np.sum(w))
     h_inv2 = const + float(np.sum(w * w))
-    # Each dropped term contributes at most mu_nu/lam to h_inv. Thin-plate
-    # spectra are exempt: with polynomial nu^(-2m/d) decay the tolerance is
-    # unreachable under the M cap, and the family is spectrum-only by
-    # construction — its sums are declared M-term partial sums.
-    if spec.family != "thin_plate" and _tail_mass(spec) / lam > TAIL_RTOL * h_inv:
+    # each dropped term contributes at most mu_nu/lam to h_inv
+    if spec.tail / lam > TAIL_RTOL * h_inv:
         raise TruncationError(
             f"truncation M={spec.M} too coarse for lam={lam:g}: "
             "tail of h_inv exceeds 1e-4 relative mass"

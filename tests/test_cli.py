@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from dckrr import cli, rates, simlab
 from dckrr.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, main
 from dckrr.solver import SOLVE_PATHS
-from dckrr.spectra import smoothing_spline_level, truncation_level
+from dckrr.spectra import FAMILIES, smoothing_spline_level, truncation_level
 
 
 def _write_config(tmp_path, **overrides):
@@ -246,7 +246,7 @@ class TestSweepCommand:
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--seed", "3"], ["sweep", "--workers", "2"],
-                                  ["diagnose", "--seed", "3"]])
+                                  ["diagnose"]])
 def test_override_of_a_config_that_is_not_an_object_is_config_error(tmp_path, capsys, argv):
     path = tmp_path / "config.json"
     path.write_text("[1, 2]")
@@ -418,15 +418,14 @@ class TestSweepSchema:
 
 # The keys of a diagnose config, as the JSON spells them.
 DIAGNOSE_CONFIG_KEYS = (
-    "lambda_grid", "base_seed", "spectrum.family", "spectrum.m", "spectrum.d", "spectrum.M",
+    "lambda_grid", "spectrum.family", "spectrum.m", "spectrum.d", "spectrum.M",
     "spectrum.scale", "xi.N", "xi.s", "xi.lambda", "xi.seed",
 )
 DIAGNOSE_SECTIONS = ("spectrum", "xi")
 
 DIAGNOSE_VALID = {
     "lambda_grid": st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=3),
-    "base_seed": st.integers(0, 10**6),
-    "spectrum.family": st.sampled_from(cli.DIAGNOSE_FAMILIES),
+    "spectrum.family": st.sampled_from(FAMILIES),
     "spectrum.m": st.integers(1, 3),
     "spectrum.d": st.integers(1, 3),
     "spectrum.M": st.none() | st.integers(1, 512),
@@ -467,9 +466,9 @@ class TestDiagnoseSchema:
                                              {key: default})
             assert (code, recorded) == (EXIT_OK, [(cli.DiagnoseConfig(), section == "xi")]), key
         # and nothing else: not a field's own name, a section key at the top or
-        # in the other section, nor the sweep's workers
+        # in the other section, nor the sweep's workers and base_seed
         for cfg in ({"spectrum_m": 2}, {"m": 2}, {"xi": {"xi_N": 64}}, {"spectrum": {"seed": 0}},
-                    {"xi": {"family": "spline"}}, {"workers": 1}):
+                    {"xi": {"family": "spline"}}, {"workers": 1}, {"base_seed": 0}):
             code, err, recorded, _ = _diagnose(cfg)
             assert (code, recorded) == (EXIT_CONFIG, []) and "unknown config key" in err
 
@@ -614,11 +613,12 @@ class TestDiagnoseCommand:
         ({"lambda_grid": "123"}, "lambda_grid"),
         ({"xi": {"lambda": math.nan}}, "xi.lambda"),
         ({"workers": 2}, "'workers'"),
+        ({"spectrum": {"family": "thin_plate", "M": 16385}}, "spectrum: M=16385 exceeds cap"),
     ], ids=["m-two", "scale-wide", "famly", "lambda_grd", "lambda_grid-str",
             "xi.N-many", "xi.n", "xi.s-above-N", "m-0", "spline-m-3", "M-0", "M-too-coarse",
             "scale-negative", "lambda_grid-empty", "lambda_grid-0", "xi.lambda-0",
             "xi.seed-negative", "base_seed-str", "m-2.5", "xi.N-256.9", "m-true",
-            "lambda_grid-string", "xi.lambda-nan", "workers-key"])
+            "lambda_grid-string", "xi.lambda-nan", "workers-key", "thin_plate-M-above-cap"])
     def test_bad_field_fails_fast_naming_it(self, tmp_path, capsys, cfg, field):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps(cfg))
@@ -628,23 +628,24 @@ class TestDiagnoseCommand:
         assert err.startswith("config error") and field in err
         assert not out.exists()
 
-    def test_seed_flag_is_accepted(self, tmp_path):
+    def test_manifest_seed_is_the_xi_seed(self, tmp_path):
+        # xi.seed is the one seed a diagnose run draws from
         cfg = tmp_path / "diag.json"
-        cfg.write_text(json.dumps({"lambda_grid": [1e-2]}))
-        out = tmp_path / "d"
-        assert main(["diagnose", "--config", str(cfg), "--out", str(out),
-                     "--seed", "3"]) == EXIT_OK
-        assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+        for xi, seed in (({}, 0), ({"xi": {"N": 64, "s": 2, "seed": 3}}, 3)):
+            cfg.write_text(json.dumps({"lambda_grid": [1e-2], **xi}))
+            out = tmp_path / f"d{seed}"
+            assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
     def test_help_lists_only_the_flags_it_reads(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["diagnose", "--help"])
         assert exc.value.code == EXIT_OK
         assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {
-            "--help", "--config", "--out", "--seed"}
+            "--help", "--config", "--out"}
 
     @pytest.mark.parametrize("flag", [["--preset", "spline-fig1"], ["--paper-scale"],
-                                      ["--workers", "2"]], ids=lambda f: f[0])
+                                      ["--workers", "2"], ["--seed", "3"]], ids=lambda f: f[0])
     def test_sweep_only_flags_are_refused(self, tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as exc:
             main(["diagnose", "--out", str(tmp_path / "d"), *flag])

@@ -6,7 +6,7 @@ import json
 import pathlib
 import re
 
-from dckrr import cli, simlab
+from dckrr import cli, simlab, spectra
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -31,3 +31,10 @@ def test_sweep_config_example_is_a_valid_config():
     cfg = cli._config(simlab.SweepConfig, raw)
     assert (cfg.model, cfg.N_list, cfg.lambda_task, cfg.sigma2_mode) == (
         raw["model"], tuple(raw["N_list"]), raw["lambda"]["task"], raw["sigma2"]["mode"])
+
+
+def test_diagnose_family_row_lists_the_families():
+    row = re.search(r"^\| `spectrum\.family` \|(.*)\|$", README, re.M)
+    assert row, "no spectrum.family row in README.md"
+    allowed = row.group(1).split("|")[-1]
+    assert tuple(re.findall(r"`(\w+)`", allowed)) == spectra.FAMILIES

@@ -114,18 +114,23 @@ class TestSweepConfig:
             SweepConfig(sigma2_mode="bogus")
 
     def test_spline1d_rejects_orders_without_smoothing_spline(self):
-        with pytest.raises(ValueError, match="m=3"):
+        with pytest.raises(ValueError, match="^m must be 2 for spline1d, got m=3$"):
             SweepConfig(model="spline1d", m=3)
         SweepConfig(model="additive2d", m=3)  # the periodic additive family takes any m
 
     @pytest.mark.parametrize("model", MODELS)
     def test_rejects_m_1(self, model):
-        # with mu_k ~ k^-2 every realistic cell would fail with TruncationError
-        with pytest.raises(ValueError, match=r"\bm must be >= 2"):
+        # with mu_k ~ k^-2 every realistic cell would fail with TruncationError;
+        # each model states its one rule
+        message = {"spline1d": "m must be 2 for spline1d, got m=1",
+                   "additive2d": "m must be >= 2, got 1"}[model]
+        with pytest.raises(ValueError) as exc:
             SweepConfig(model=model, m=1)
+        assert str(exc.value) == message
 
     def test_spline1d_fitted_in_smoothing_spline_family(self):
-        spec = simlab._spectrum_for(SweepConfig(model="spline1d"), 1e-6)
+        cfg = SweepConfig(model="spline1d")
+        spec = spectra.spectrum_for(cfg.family, cfg.m, cfg.d, 1e-6)
         assert spec.family == "smoothing_spline" and spec.null_dim == 2
 
     def test_family_mapping(self):
@@ -149,7 +154,7 @@ class TestRunSweep:
         assert cell.lam == rx.lam
         # replicate by hand
         mses, rejects = [], []
-        spec = simlab._spectrum_for(cfg, cell.lam)
+        spec = spectra.spectrum_for(cfg.family, cfg.m, cfg.d, cell.lam)
         for r in range(3):
             data = generate("spline1d", 256, seed=11 + r, c=0.6)
             part = dnc.partition(data, s, seed=11 + r)
@@ -229,7 +234,8 @@ class TestRunSweep:
         s = max(1, math.floor(64**0.3 + 0.5))
         lam = simlab._cell_lambda(cfg, 64 // s)
         with pytest.raises(np.linalg.LinAlgError):
-            simlab._run_replication(cfg, 64, s, lam, simlab._spectrum_for(cfg, lam), seed=0)
+            spec = spectra.spectrum_for(cfg.family, cfg.m, cfg.d, lam)
+            simlab._run_replication(cfg, 64, s, lam, spec, seed=0)
         with pytest.warns(UserWarning, match="1 replications failed"):
             result = run_sweep(cfg)
         assert result.cells[0].failures == 1 and result.cells[0].reps == 9
@@ -319,7 +325,7 @@ def test_additive_plugin_replication_evaluates_each_basis_once(monkeypatch):
                       sigma2_mode="plugin", solve_path="exact_gram", lambda_task="estimation")
     s = max(1, math.floor(512**0.4 + 0.5))
     lam = simlab._cell_lambda(cfg, 512 // s)
-    spec = simlab._spectrum_for(cfg, lam)
+    spec = spectra.spectrum_for(cfg.family, cfg.m, cfg.d, lam)
     calls, real = [], spectra.feature_matrix
 
     def counting(spec_, X):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dckrr.spectra import (
+    FAMILIES,
     GAUSS_FLOOR,
     M_CAP,
+    M_DEFAULT,
     Spectrum,
     TruncationError,
     additive,
@@ -27,6 +30,7 @@ from dckrr.spectra import (
     smoothing_spline,
     smoothing_spline_level,
     spectral_sums,
+    spectrum_for,
     thin_plate,
     truncation_level,
 )
@@ -651,26 +655,83 @@ def test_spectrum_equality_semantics():
     assert periodic_sobolev(2, M=16) == periodic_sobolev(2, M=16)
     assert periodic_sobolev(2, M=16) != periodic_sobolev(2, M=32)
     spec = periodic_sobolev(2, M=16)
-    assert spec != Spectrum(
-        family="periodic_sobolev", m=2, d=1, scale=0.0,
-        eigenvalues=np.ones(16), null_dim=1, has_eigenfunctions=True,
-    )
-    assert spec != Spectrum(
-        family="periodic_sobolev", m=2, d=1, scale=0.0,
-        eigenvalues=spec.eigenvalues, null_dim=0, has_eigenfunctions=True,
-    )
+    fields = dict(family="periodic_sobolev", m=2, d=1, scale=0.0, eigenvalues=spec.eigenvalues,
+                  null_dim=1, tail=spec.tail, sup_sq=2.0, has_eigenfunctions=True)
+    assert spec == Spectrum(**fields)
+    for change in ({"eigenvalues": np.ones(16)}, {"null_dim": 0}, {"tail": 0.0},
+                   {"sup_sq": None}):
+        assert spec != Spectrum(**{**fields, **change}), change
 
 
-@pytest.mark.parametrize("spec,null_dim", [
-    (periodic_sobolev(2, M=16), 1),
-    (smoothing_spline(1, M=16), 1),
-    (smoothing_spline(2, M=16), 2),
-    (additive(2, 2, M=16), 1),
-    (gaussian_rkhs(2, 1.0, M=16), 0),
-    (thin_plate(2, 2, M=16), 0),
-    (explicit_spectrum([1.0, 0.5, 0.25]), 0),
+_GAUSSIAN = gaussian_rkhs(2, 1.0, M=16)
+
+
+@pytest.mark.parametrize("spec,null_dim,tail,sup_sq", [
+    (periodic_sobolev(2, M=16), 1, 2 * (2 * math.pi) ** -4 * 8.0**-3 / 3, 2.0),
+    (smoothing_spline(1, M=16), 1, math.pi**-2 / 16, 2.0),
+    (smoothing_spline(2, M=16), 2, math.pi**-4 * 16.0**-3 / 3, 4.0),
+    (additive(2, 2, M=16), 1, 4 * (2 * math.pi) ** -4 * 4.0**-3 / 3, 2.0),
+    (_GAUSSIAN, 0, 1.0 - math.fsum(_GAUSSIAN.eigenvalues), None),
+    (thin_plate(2, 2, M=16), 0, 0.0, None),
+    (explicit_spectrum([1.0, 0.5, 0.25]), 0, 0.0, None),
 ], ids=["periodic", "spline1", "spline2", "additive", "gaussian", "thin_plate", "explicit"])
-def test_null_dim_is_each_familys_null_space(spec, null_dim):
-    # a field set by each constructor: the number of null_basis columns
+def test_null_dim_is_each_familys_null_space(spec, null_dim, tail, sup_sq):
+    # fields set by each constructor: the number of null_basis columns, the
+    # bound on the eigenvalues past M (the integral bound over pairs or
+    # singles, the Gaussian's untaken trace) and on phi(x)^2
     assert spec.null_dim == null_dim
     assert null_basis(spec, RNG.uniform(size=(5, spec.d))).shape == (5, null_dim)
+    assert spec.tail == pytest.approx(tail, rel=1e-9, abs=0.0)  # 1 - sum cancels
+    assert spec.sup_sq == sup_sq
+    if sup_sq is not None:  # the bound holds on a grid, for the finite and null columns
+        x = np.linspace(0.0, 1.0, 257).reshape(-1, 1) @ np.ones((1, spec.d))
+        assert np.max(feature_matrix(spec, x) ** 2) <= sup_sq * (1 + 1e-12)
+        assert np.max(null_basis(spec, x) ** 2) <= sup_sq * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("make,unit", [
+    (lambda M: periodic_sobolev(2, M), 2),
+    (lambda M: smoothing_spline(2, M), 1),
+    (lambda M: additive(2, 1, M), 2),
+    (lambda M: additive(2, 2, M), 4),
+    (lambda M: thin_plate(2, 1, M), 1),
+], ids=["periodic", "spline", "additive-d1", "additive-d2", "thin_plate"])
+def test_level_is_a_positive_multiple_of_the_unit_within_the_cap(make, unit):
+    assert make(unit).M == unit and make(M_CAP).M == M_CAP
+    for M in [0, -4] + [unit + 1] * (unit > 1):
+        with pytest.raises(ValueError, match=f"multiple of {unit}, got M={M}$"):
+            make(M)
+    with pytest.raises(TruncationError, match="exceeds cap"):
+        make(M_CAP + unit)
+
+
+# The constructor and level that each config name stood for.
+_BY_NAME = {
+    "spline": lambda m, d, lam: smoothing_spline(m, smoothing_spline_level(m, lam)),
+    "periodic_sobolev": lambda m, d, lam: periodic_sobolev(m, truncation_level(m, lam)),
+    "additive": lambda m, d, lam: additive(m, d, truncation_level(m, lam, d)),
+    "gaussian": lambda m, d, lam: gaussian_rkhs(d, 1.0, M_CAP),
+    "gaussian_rkhs": lambda m, d, lam: gaussian_rkhs(d, 1.0, M_CAP),
+    "thin_plate": lambda m, d, lam: thin_plate(m, d, M_DEFAULT),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_name_resolves_to_its_constructor_at_its_level(family):
+    assert set(_BY_NAME) == set(FAMILIES)
+    for (m, d), lam in itertools.product([(1, 1), (2, 1), (2, 2), (3, 2), (1, 2)],
+                                         [1e-2, 1e-4, 1e-6]):
+        try:
+            expected = _BY_NAME[family](m, d, lam)
+            spectral_sums(expected, lam)
+        except ValueError as exc:  # no such spectrum, a level past the cap, or unresolved
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                spectrum_for(family, m, d, lam)
+            continue
+        assert spectrum_for(family, m, d, lam) == expected, (m, d, lam)
+    assert spectrum_for(family, 2, 1, 1.0, M=8).M == 8  # an explicit level is taken as given
+
+
+def test_unknown_family_name_is_refused():
+    with pytest.raises(ValueError, match="family must be one of"):
+        spectrum_for("spline1d", 2, 1, 1e-3)
