@@ -110,10 +110,24 @@ def _load_config(path: str | None, preset: str | None = None, paper_scale: bool 
     if path is None:
         raise ConfigError("one of --config or --preset is required")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ConfigError(f"cannot read config: {exc}") from exc
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` that cannot become the output directory, before
+    any work runs: it must be a directory, or not exist below a writable
+    directory. Nothing is created; the command makes the directory when it
+    writes its outputs."""
+    head = os.path.abspath(path)
+    while not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"--out {path!r}: {head} is not a directory")
+    if not os.access(head, os.W_OK | os.X_OK):
+        raise ConfigError(f"--out {path!r}: {head} is not writable")
 
 
 def _known_keys(section, prefix: str, keys) -> dict:
@@ -160,6 +174,7 @@ def cmd_sweep(args) -> int:
     try:
         raw = _load_config(args.config, args.preset, args.paper_scale)
         cfg = _config(simlab.SweepConfig, raw, base_seed=args.seed, workers=args.workers)
+        _check_out(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -312,6 +327,7 @@ def cmd_diagnose(args) -> int:
     try:
         raw = _load_config(args.config) if args.config else {}
         cfg = _config(DiagnoseConfig, raw)
+        _check_out(args.out)
         report = _diagnostics(cfg, xi=bool(raw.get("xi")))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,9 +5,11 @@ size ``n = floor(N/s)`` (the remainder is dropped and recorded). ``fit_all``
 fits each machine independently, in machine order, a block of machines at a
 time, and averages them into a :class:`DncEstimate`. A block shares one
 evaluation of the basis, and each fit has the bits of fitting its machine
-alone. An ``exact_gram`` fit keeps its basis at its design
-points, so the estimate's coefficients, :func:`predict_bar` and the plug-in
-variance read it instead of evaluating it again. The bits also depend on the
+alone. A ``truncated_feature`` block allocates one design array and builds
+its basis in cache-sized row tiles, so it holds one block-sized array, not
+three. An ``exact_gram`` fit keeps its basis at its design points, so the
+estimate's coefficients, :func:`predict_bar` and the plug-in variance read
+it instead of evaluating it again. The bits also depend on the
 BLAS thread count, which :func:`~dckrr.simlab.run_sweep` fixes at one;
 outside a sweep it is the caller's.
 """

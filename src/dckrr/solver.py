@@ -15,8 +15,11 @@ Both paths fit a block of machines at once (:func:`_fit_block`, which
 :func:`~dckrr.dnc.fit_all` calls and of which :func:`krr_fit` is the
 one-machine case): the basis is evaluated for the whole block, and each
 machine forms and solves its own system, so every fit has the bits of
-fitting that machine alone. Cholesky solves call LAPACK's ``potrf`` and
-``potrs`` directly, as ``scipy.linalg.cho_factor``/``cho_solve`` would.
+fitting that machine alone. A ``truncated_feature`` block allocates one
+design array and builds the basis into it in cache-sized row tiles (see
+:func:`~dckrr.spectra.feature_matrix`). Cholesky solves call LAPACK's
+``potrf`` and ``potrs`` directly, as ``scipy.linalg.cho_factor``/``cho_solve``
+would.
 """
 
 from __future__ import annotations
@@ -142,7 +145,9 @@ def _fit_block(
     and responses ``ys[j]`` (``ys`` is ``(b, n)``, ``xs`` ``(b, n)`` or ``(b, n,
     d)``). The basis is evaluated once for the block, with a leading machine
     axis; each machine forms and solves its own system, so every fit has the
-    bits of fitting that machine alone.
+    bits of fitting that machine alone. The ``truncated_feature`` design
+    ``[null_basis, phi * sqrt(mu)]`` is one ``(b, n, q + M)`` array, whose
+    trailing columns :func:`~dckrr.spectra.feature_matrix` fills in place.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -175,9 +180,10 @@ def _fit_block(
                 anchors=xs[j], alpha=alpha, features=F[j],
             ))
         return fits
-    psi = feature_matrix(spec, pts)
+    X = np.empty((b, n, q + spec.M))
+    X[..., :q] = null_basis(spec, pts)
+    psi = feature_matrix(spec, pts, out=X[..., q:])
     psi *= np.sqrt(spec.eigenvalues)
-    X = np.concatenate([null_basis(spec, pts), psi], axis=-1)
     penalized = slice(q * (q + spec.M + 1), None, q + spec.M + 1)  # A's diagonal after q
     for j in range(b):
         A = X[j].T @ X[j]

@@ -63,6 +63,8 @@ M_DEFAULT = 64
 M_CAP = 16384
 TAIL_RTOL = 1e-4
 
+_TILE_VALUES = 8192  # basis values per row tile of the periodic and spline builds
+
 GAUSS_NODES = 128  # Gauss–Legendre nodes of the Gaussian's Nyström rule on [0, 1]
 GAUSS_FLOOR = 1e-15  # Gaussian eigenvalues kept: mu > GAUSS_FLOOR * mu_1
 
@@ -333,6 +335,8 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
     counts the finite eigenfunctions and must be a multiple of ``2*d`` so
     every component gets complete sin/cos pairs.
     """
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     if d < 1:
         raise ValueError("d must be a positive integer")
     if M is None:
@@ -507,24 +511,53 @@ def spectrum_for(family: str, m: int, d: int, lam: float, M: int | None = None,
     return spec
 
 
-def _periodic_phi(M: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
+def _row_tiles(x: NDArray[np.float64], out: NDArray[np.float64]):
+    """``(x_tile, out_tile)`` pairs that cover the points ``x`` and the rows of
+    ``out`` (``x.shape + (M,)``) in order, each tile at most ``_TILE_VALUES``
+    values (at least one row). The rows of every machine are walked as one
+    sequence when ``out``'s leading axes merge, as in a C-ordered array or a
+    column slice of one; otherwise each leading index is walked alone."""
+    M = out.shape[-1]
+    try:
+        rows = np.reshape(out, (-1, M), copy=False)
+    except ValueError:  # leading axes that no view can merge
+        for lead in np.ndindex(out.shape[:-2]):
+            yield from _row_tiles(x[lead], out[lead])
+        return
+    x = x.reshape(-1)
+    step = max(1, _TILE_VALUES // M)
+    for i in range(0, x.shape[0], step):
+        yield x[i : i + step], rows[i : i + step]
+
+
+def _periodic_phi(M: int, x: NDArray[np.float64],
+                  out: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
     """The ``M`` finite eigenfunctions of the 1-d periodic family at the
-    points ``x``, an ``x.shape + (M,)`` array.
+    points ``x``, written into ``out`` (by default a new ``x.shape + (M,)``
+    array), which is returned.
 
     Column ``2k - 2`` holds ``sqrt(2) sin(2 pi k x)`` and column ``2k - 1``
     holds ``sqrt(2) cos(2 pi k x)``; sin and cos are each computed only for
-    their own columns.
+    their own columns, in row tiles (see :func:`_row_tiles`).
     """
-    out = np.empty(x.shape + (M,))
-    out[..., 0::2] = np.sin(2.0 * np.pi * np.multiply.outer(x, np.arange(1, (M + 1) // 2 + 1)))
-    out[..., 1::2] = np.cos(2.0 * np.pi * np.multiply.outer(x, np.arange(1, M // 2 + 1)))
-    out *= math.sqrt(2.0)
+    if out is None:
+        out = np.empty(x.shape + (M,))
+    halves = ((np.sin, np.arange(1, (M + 1) // 2 + 1), 0), (np.cos, np.arange(1, M // 2 + 1), 1))
+    for xt, ot in _row_tiles(x, out):
+        for trig, k, first in halves:
+            t = np.multiply.outer(xt, k)
+            t *= 2.0 * np.pi
+            trig(t, out=t)
+            np.multiply(t, math.sqrt(2.0), out=ot[:, first::2])
     return out
 
 
-def _spline_phi(m: int, K: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The first ``K`` smoothing-spline eigenfunctions at points ``x``, an
-    ``x.shape + (K,)`` array built in place in one output and one scratch array.
+def _spline_phi(m: int, K: int, x: NDArray[np.float64],
+                out: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The first ``K`` smoothing-spline eigenfunctions at points ``x``, written
+    into ``out`` (``x.shape + (K,)``) in row tiles (see :func:`_row_tiles`),
+    each built in place in two tile-sized scratch arrays whose last operation
+    writes the tile of ``out``.
 
     For ``m = 2`` the beam mode is evaluated in an overflow-free form:
     ``cosh`` and ``sinh`` are split into exponentials and every growing
@@ -533,49 +566,63 @@ def _spline_phi(m: int, K: int, x: NDArray[np.float64]) -> NDArray[np.float64]:
     + a exp(-b (1 - x))`` with bounded coefficients ``sigma`` and ``a``.
     """
     b = _spline_freqs(m, K)
-    out = np.multiply.outer(x, b)
     if m == 1:
-        np.cos(out, out=out)
-        out *= math.sqrt(2.0)
+        for xt, ot in _row_tiles(x, out):
+            t = np.multiply.outer(xt, b)
+            np.cos(t, out=t)
+            np.multiply(t, math.sqrt(2.0), out=ot)
         return out
     phase, amp, decay, a = _beam_coeffs(K)
-    tmp = np.negative(out)
-    np.exp(tmp, out=tmp)
-    tmp *= decay
-    out += phase
-    np.cos(out, out=out)
-    out *= amp
-    out += tmp
-    np.multiply.outer(x - 1.0, b, out=tmp)
-    np.exp(tmp, out=tmp)
-    tmp *= a
-    out += tmp
+    for xt, ot in _row_tiles(x, out):
+        t = np.multiply.outer(xt, b)
+        tmp = np.negative(t)
+        np.exp(tmp, out=tmp)
+        tmp *= decay
+        t += phase
+        np.cos(t, out=t)
+        t *= amp
+        t += tmp
+        np.multiply.outer(xt - 1.0, b, out=tmp)
+        np.exp(tmp, out=tmp)
+        tmp *= a
+        np.add(t, tmp, out=ot)
     return out
 
 
-def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """All finite eigenfunctions at once: an ``(n, M)`` matrix.
+def feature_matrix(spec: Spectrum, X: NDArray[np.float64],
+                   out: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
+    """All finite eigenfunctions at once: an ``(n, M)`` matrix, written into
+    ``out`` when given (any array of that shape, a strided view included) and
+    returned.
 
     Column ``j`` (0-based) holds the eigenfunction with eigenvalue
     ``spec.eigenvalues[j]`` evaluated at the rows of ``X``. Points with a
     leading machine axis, ``(b, n, d)``, give ``(b, n, M)``, and each
     machine's ``(n, M)`` block has the bits of evaluating it alone. The
-    additive family evaluates each component's sin/cos once per distinct value
-    of its coordinate, so a ``g x g`` grid costs ``2 g`` rows, not ``g^2``. The
-    constant is not included, nor is the rest of the null space (see
-    :func:`null_basis`). Families without eigenfunctions raise ``ValueError``
-    here, and so every evaluator built on this one.
+    periodic and smoothing-spline bases are built in cache-sized row tiles,
+    so their scratch is a tile, not a copy of ``out``. The additive family
+    evaluates each component's sin/cos once per distinct value of its
+    coordinate, so a ``g x g`` grid costs ``2 g`` rows, not ``g^2``; the
+    Gaussian's kernel gemm runs over all rows at once, as splitting a gemm's
+    rows changes their rounding. The constant is not included, nor is the
+    rest of the null space (see :func:`null_basis`). Families without
+    eigenfunctions raise ``ValueError`` here, and so every evaluator built on
+    this one.
     """
     if not spec.has_eigenfunctions:
         raise ValueError(f"{spec.family} spectrum does not expose eigenfunctions")
     pts = _as_points(X, spec.d)
+    shape = pts.shape[:-1] + (spec.M,)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got {out.shape}")
     if spec.family == "periodic_sobolev":
-        return _periodic_phi(spec.M, pts[..., 0])
+        return _periodic_phi(spec.M, pts[..., 0], out)
     if spec.family == "smoothing_spline":
-        return _spline_phi(spec.m, spec.M, pts[..., 0])
+        return _spline_phi(spec.m, spec.M, pts[..., 0], out)
     if spec.family == "additive":
         per_comp = spec.M // spec.d
-        out = np.empty(pts.shape[:-1] + (spec.M,))
         for k in range(spec.d):
             # each component once per distinct bit pattern of its coordinate
             # (a grid repeats them), gathered back: elementwise, so the same bits
@@ -586,7 +633,7 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64
         return out
     if spec.family == "gaussian_rkhs":
         nodes, coef, _, index = _gaussian_basis(spec.d, spec.scale, spec.M)
-        out = np.ones(pts.shape[:-1] + (spec.M,))
+        out[...] = 1.0
         for k in range(spec.d):
             # a stacked matmul is one gemm per machine, which keeps each
             # machine's bits; a flat (b n, nodes) product would not

@@ -256,6 +256,35 @@ def test_override_of_a_config_that_is_not_an_object_is_config_error(tmp_path, ca
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("command", ["sweep", "diagnose"])
+def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cannot read config: 'utf-8' codec")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, module, work", [("sweep", simlab, "run_sweep"),
+                                                   ("diagnose", cli, "_diagnostics")])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_that_cannot_be_a_directory_fails_before_any_work(tmp_path, monkeypatch, capsys,
+                                                              command, module, work, out):
+    def no_work(*args):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr(module, work, no_work)
+    (tmp_path / "file").write_text("kept")
+    cfg = _write_config(tmp_path) if command == "sweep" else None
+    argv = [command, "--out", str(tmp_path / out)] + (["--config", cfg] if cfg else [])
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: --out {str(tmp_path / out)!r}: "
+                                       f"{tmp_path / 'file'} is not a directory\n")
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 # The keys of a sweep config, as the JSON spells them.
 SWEEP_KEYS = (
     "model", "c", "N_list", "rho_list", "replications", "alpha",

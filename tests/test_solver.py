@@ -1,6 +1,7 @@
 """Unit tests for the solver module: oracle solves and structural identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dckrr.solver import MachineFit, Subsample, _solve_spd, krr_fit, predict, smoother_trace
+from dckrr.solver import (
+    MachineFit,
+    Subsample,
+    _fit_block,
+    _solve_spd,
+    krr_fit,
+    predict,
+    smoother_trace,
+)
 from dckrr.spectra import (
     explicit_spectrum,
     feature_matrix,
     gaussian_rkhs,
     gram_R,
+    null_basis,
     periodic_sobolev,
     smoothing_spline,
     thin_plate,
@@ -147,6 +157,47 @@ class TestTruncatedFeature:
         grid = (np.arange(512) + 0.5) / 512
         rms = math.sqrt(float(np.mean((predict(spec, f1, grid) - predict(spec, f2, grid)) ** 2)))
         assert rms < 1e-4
+
+
+class TestBlockDesign:
+    """The ``truncated_feature`` block builds its design in one array: the null
+    space, then the basis written in place and scaled by ``sqrt(mu)``."""
+
+    @pytest.mark.parametrize("b, n, M", [(1, 1365, 128), (64, 8, 64)], ids=["s6", "s512"])
+    def test_fits_equal_the_concatenated_design(self, b, n, M):
+        rng = np.random.default_rng(n)
+        spec, lam = smoothing_spline(2, M=M), 1e-4
+        xs = rng.uniform(size=(b, n))
+        ys = np.sin(3.0 * xs) + 0.3 * rng.standard_normal((b, n))
+        # the design as separate arrays joined by a copy
+        pts = xs[..., None]
+        psi = feature_matrix(spec, pts)
+        psi *= np.sqrt(spec.eigenvalues)
+        X = np.concatenate([null_basis(spec, pts), psi], axis=-1)
+        q = spec.null_dim
+        fits = _fit_block(spec, xs, ys, lam, "truncated_feature")
+        assert len(fits) == b
+        for j, fit in enumerate(fits):
+            A = X[j].T @ X[j]
+            A.flat[q * (q + M + 1) :: q + M + 1] += n * lam
+            sol = _solve_spd(A, X[j].T @ ys[j])
+            assert np.array_equal(fit.beta, sol[:q]) and np.array_equal(fit.theta, sol[q:])
+
+    def test_one_fit_peaks_below_one_and_a_half_designs(self):
+        # NumPy reports its buffers to tracemalloc; the separate basis and the
+        # joined copy peaked at about 2.2 designs
+        n, spec = 1365, smoothing_spline(2, M=128)
+        rng = np.random.default_rng(6)
+        sub = _sub(rng.uniform(size=n), rng.standard_normal(n))
+        krr_fit(spec, sub, 1e-4, "truncated_feature")  # the cached beam coefficients
+        tracemalloc.start()
+        try:
+            krr_fit(spec, sub, 1e-4, "truncated_feature")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design = n * (spec.null_dim + spec.M) * 8
+        assert peak < 1.5 * design
 
 
 class TestMercerCoefficients:

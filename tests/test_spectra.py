@@ -119,6 +119,8 @@ class TestEigenvalueLaws:
             periodic_sobolev(2, M=7)  # odd
         with pytest.raises(ValueError):
             additive(2, 2, M=10)  # not a multiple of 2d
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            additive(0, 2, 8)  # would be eigenvalues of 1 with a negative tail
         with pytest.raises(ValueError):
             thin_plate(1, 2)  # 2m <= d
         with pytest.raises(TruncationError):
@@ -649,6 +651,91 @@ class TestSmoothingSpline:
             smoothing_spline(2, M=0)
         with pytest.raises(TruncationError):
             smoothing_spline(2, M=M_CAP + 1)
+
+
+
+def _whole_array_basis(spec, x):
+    """The periodic or smoothing-spline basis at the points ``x`` built over
+    the whole array at once, with the float operations of the tiled build."""
+    M = spec.M
+    if spec.family == "periodic_sobolev":
+        out = np.empty(x.shape + (M,))
+        out[..., 0::2] = np.sin(2.0 * np.pi * np.multiply.outer(x, np.arange(1, (M + 1) // 2 + 1)))
+        out[..., 1::2] = np.cos(2.0 * np.pi * np.multiply.outer(x, np.arange(1, M // 2 + 1)))
+        out *= math.sqrt(2.0)
+        return out
+    b = spectra._spline_freqs(spec.m, M)
+    out = np.multiply.outer(x, b)
+    if spec.m == 1:
+        np.cos(out, out=out)
+        out *= math.sqrt(2.0)
+        return out
+    phase, amp, decay, a = spectra._beam_coeffs(M)
+    tmp = np.negative(out)
+    np.exp(tmp, out=tmp)
+    tmp *= decay
+    out += phase
+    np.cos(out, out=out)
+    out *= amp
+    out += tmp
+    np.multiply.outer(x - 1.0, b, out=tmp)
+    np.exp(tmp, out=tmp)
+    tmp *= a
+    out += tmp
+    return out
+
+
+TILED = [periodic_sobolev(2, M=64), smoothing_spline(1, M=96), smoothing_spline(2, M=128),
+         smoothing_spline(2, M=7)]
+TILED_IDS = ["periodic", "spline1", "spline2", "spline2-odd-M"]
+
+
+def _tiled_points(spec, shape_of_rows):
+    """Uniform coordinates, and ``[0, 1]``'s ends, over several row tiles of
+    ``spec`` with a ragged last one: ``(n,)`` or a machine stack ``(b, n)``,
+    and the points of :func:`feature_matrix` for them."""
+    rows = spectra._TILE_VALUES // spec.M
+    x = np.random.default_rng(spec.M).uniform(size=shape_of_rows(3 * rows + rows // 2 + 1))
+    x.reshape(-1)[:2] = (0.0, 1.0)
+    return x, x if x.ndim == 1 else x[..., None]
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("spec", TILED, ids=TILED_IDS)
+    @pytest.mark.parametrize("shape", [lambda n: (n,), lambda n: (3, n // 2)], ids=["flat", "stacked"])
+    def test_equals_the_whole_array_build(self, spec, shape):
+        x, pts = _tiled_points(spec, shape)
+        assert np.array_equal(feature_matrix(spec, pts), _whole_array_basis(spec, x))
+
+    @pytest.mark.parametrize("spec", TILED, ids=TILED_IDS)
+    def test_fills_a_strided_out_and_leaves_the_rest(self, spec):
+        x, pts = _tiled_points(spec, lambda n: (3, n // 2))
+        ref = _whole_array_basis(spec, x)
+        # a column slice of a wider array, whose rows merge across machines,
+        # and a row slice, whose machines are walked one at a time
+        for wide, view in ((np.full((3, x.shape[1], spec.M + 3), -7.0), np.s_[..., 2:-1]),
+                           (np.full((3, x.shape[1] + 1, spec.M), -7.0), np.s_[:, 1:])):
+            got = feature_matrix(spec, pts, out=wide[view])
+            assert np.shares_memory(got, wide) and np.array_equal(got, ref)
+            rest = np.ones(wide.shape, dtype=bool)
+            rest[view] = False
+            assert np.all(wide[rest] == -7.0)
+        with pytest.raises(ValueError, match="out must have shape"):
+            feature_matrix(spec, pts, out=np.empty((3, x.shape[1], spec.M + 1)))
+
+    @pytest.mark.parametrize("spec", TILED, ids=TILED_IDS)
+    def test_each_row_equals_that_row_alone(self, spec):
+        x, _ = _tiled_points(spec, lambda n: (n,))
+        phi = feature_matrix(spec, x)
+        for i in range(x.shape[0]):
+            assert np.array_equal(phi[i], feature_matrix(spec, x[i : i + 1])[0])
+
+    def test_gaussian_and_additive_fill_out_with_their_whole_result(self):
+        x = np.random.default_rng(5).uniform(size=(2, 40, 2))
+        for spec in (gaussian_rkhs(2, 1.0, M=24), additive(2, 2, M=16)):
+            wide = np.full((2, 40, spec.M + 1), -7.0)
+            got = feature_matrix(spec, x, out=wide[..., 1:])
+            assert np.array_equal(got, feature_matrix(spec, x)) and np.all(wide[..., 0] == -7.0)
 
 
 def test_spectrum_equality_semantics():
