@@ -122,7 +122,7 @@ def _check_out(path: str) -> None:
     directory. Nothing is created; the command makes the directory when it
     writes its outputs."""
     head = os.path.abspath(path)
-    while not os.path.exists(head):
+    while not os.path.lexists(head):  # so a dangling symlink is refused, not walked past
         head = os.path.dirname(head)
     if not os.path.isdir(head):
         raise ConfigError(f"--out {path!r}: {head} is not a directory")

@@ -515,15 +515,12 @@ def _row_tiles(x: NDArray[np.float64], out: NDArray[np.float64]):
     """``(x_tile, out_tile)`` pairs that cover the points ``x`` and the rows of
     ``out`` (``x.shape + (M,)``) in order, each tile at most ``_TILE_VALUES``
     values (at least one row). The rows of every machine are walked as one
-    sequence when ``out``'s leading axes merge, as in a C-ordered array or a
-    column slice of one; otherwise each leading index is walked alone."""
+    sequence, so ``out``'s leading axes must merge into one without a copy,
+    as those of a C-ordered array or a column slice of one do."""
     M = out.shape[-1]
-    try:
-        rows = np.reshape(out, (-1, M), copy=False)
-    except ValueError:  # leading axes that no view can merge
-        for lead in np.ndindex(out.shape[:-2]):
-            yield from _row_tiles(x[lead], out[lead])
-        return
+    rows = out.reshape(-1, M)
+    if out.size and not np.may_share_memory(rows, out):  # a copy: writes would be lost
+        raise ValueError("out's leading axes must merge into one without a copy")
     x = x.reshape(-1)
     step = max(1, _TILE_VALUES // M)
     for i in range(0, x.shape[0], step):
@@ -592,8 +589,8 @@ def _spline_phi(m: int, K: int, x: NDArray[np.float64],
 def feature_matrix(spec: Spectrum, X: NDArray[np.float64],
                    out: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
     """All finite eigenfunctions at once: an ``(n, M)`` matrix, written into
-    ``out`` when given (any array of that shape, a strided view included) and
-    returned.
+    ``out`` when given and returned. ``out`` may be a strided view, such as a
+    column slice of a wider array, if its leading axes merge without a copy.
 
     Column ``j`` (0-based) holds the eigenfunction with eigenvalue
     ``spec.eigenvalues[j]`` evaluated at the rows of ``X``. Points with a

@@ -269,20 +269,23 @@ def test_config_that_is_not_utf8_is_config_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command, module, work", [("sweep", simlab, "run_sweep"),
                                                    ("diagnose", cli, "_diagnostics")])
-@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("out, head", [("file", "file"), ("file/sub", "file"),
+                                       ("dangling", "dangling"), ("dangling/sub", "dangling")])
 def test_out_that_cannot_be_a_directory_fails_before_any_work(tmp_path, monkeypatch, capsys,
-                                                              command, module, work, out):
+                                                              command, module, work, out, head):
     def no_work(*args):
         raise AssertionError("ran before --out was checked")
 
     monkeypatch.setattr(module, work, no_work)
     (tmp_path / "file").write_text("kept")
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")  # a symlink to nothing
     cfg = _write_config(tmp_path) if command == "sweep" else None
     argv = [command, "--out", str(tmp_path / out)] + (["--config", cfg] if cfg else [])
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == (f"config error: --out {str(tmp_path / out)!r}: "
-                                       f"{tmp_path / 'file'} is not a directory\n")
+                                       f"{tmp_path / head} is not a directory\n")
     assert (tmp_path / "file").read_text() == "kept"
+    assert not os.path.lexists(tmp_path / "nowhere")
 
 
 # The keys of a sweep config, as the JSON spells them.
