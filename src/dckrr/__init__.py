@@ -37,12 +37,10 @@ from dckrr.dnc import (
 )
 from dckrr.inference import (
     NormBreakdown,
-    SeparationReport,
     TestReport,
     estimate_sigma2,
     inverse_normal_cdf,
     norm_breakdown,
-    separation,
     test_statistic,
 )
 from dckrr.rates import RatePrescription, prescribe, rho_max

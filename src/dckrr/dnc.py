@@ -125,7 +125,7 @@ def partition(data: Dataset, s: int, seed: int) -> Partition:
 def subsample_for(data: Dataset, part: Partition, j: int) -> Subsample:
     """Materialize machine ``j``'s subsample."""
     idx = part.assignment[j]
-    return Subsample(xs=data.xs[idx], ys=data.ys[idx], machine_id=j)
+    return Subsample(xs=data.xs[idx], ys=data.ys[idx])
 
 
 def fit_all(

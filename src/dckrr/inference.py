@@ -19,16 +19,14 @@ import numpy as np
 
 from dckrr.dnc import Dataset, DncEstimate, Partition, subsample_for
 from dckrr.solver import _fitted_and_scaled_basis, _ridge_trace
-from dckrr.spectra import Spectrum, spectral_sums
+from dckrr.spectra import spectral_sums
 
 __all__ = [
     "NormBreakdown",
     "TestReport",
-    "SeparationReport",
     "norm_breakdown",
     "test_statistic",
     "estimate_sigma2",
-    "separation",
     "inverse_normal_cdf",
 ]
 
@@ -59,17 +57,6 @@ class TestReport:
     N: int
     lam: float
     sigma2: float
-
-
-@dataclass(frozen=True)
-class SeparationReport:
-    """Order-level bias / separation quantities of the theory."""
-
-    b_term: float
-    d_term: float
-    lam: float
-    N: int
-    n: int
 
 
 def norm_breakdown(est: DncEstimate) -> NormBreakdown:
@@ -126,7 +113,9 @@ def estimate_sigma2(est: DncEstimate, data: Dataset, part: Partition) -> float:
     its trace, with the float operations of :func:`~dckrr.solver.predict` and
     :func:`~dckrr.solver.smoother_trace`; the trace is read from a
     ``min(n, M)``-sized Cholesky factor, and no ``n x n`` gram is formed for a
-    ``truncated_feature`` fit.
+    ``truncated_feature`` fit. Degrees of freedom that sum to ``<= 0``, as when
+    the machines hold no more points than the null space has functions, raise
+    ``LinAlgError``: a numerical failure, which a sweep counts.
     """
     spec, lam = est.spec, est.lam
     rss = 0.0
@@ -139,34 +128,8 @@ def estimate_sigma2(est: DncEstimate, data: Dataset, part: Partition) -> float:
         rss += float(resid @ resid)
         dof += sub.n - _ridge_trace(G, lam) - extra
     if dof <= 0:
-        raise ValueError("nonpositive residual degrees of freedom")
+        raise np.linalg.LinAlgError("nonpositive residual degrees of freedom")
     return rss / dof
-
-
-def separation(
-    spec: Spectrum, lam: float, N: int, n: int, f_norm_H: float, a: float, b: float
-) -> SeparationReport:
-    """Order-level bias and separation terms of the theory.
-
-    ``b = (lam^{1/2} |f|_H + (N h)^{-1/2}) sqrt(log^b N / (n h^a))`` and
-    ``d = lam^{1/2} |f|_H + (N h^{1/2})^{-1/2} + N^{-1/2}
-    + b^{1/2} (N h)^{-1/4} + b``, with family constants ``(a, b)``.
-    """
-    if N < 2 or n < 1:
-        raise ValueError("need N >= 2 and n >= 1")
-    h = 1.0 / spectral_sums(spec, lam).h_inv
-    logN = math.log(N)
-    b_term = (math.sqrt(lam) * f_norm_H + (N * h) ** -0.5) * math.sqrt(
-        logN**b / (n * h**a)
-    )
-    d_term = (
-        math.sqrt(lam) * f_norm_H
-        + (N * math.sqrt(h)) ** -0.5
-        + N**-0.5
-        + math.sqrt(b_term) * (N * h) ** -0.25
-        + b_term
-    )
-    return SeparationReport(b_term=b_term, d_term=d_term, lam=lam, N=N, n=n)
 
 
 def inverse_normal_cdf(p: float) -> float:

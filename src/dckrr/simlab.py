@@ -35,7 +35,7 @@ from numpy.typing import NDArray
 from dckrr import dnc, rates
 from dckrr.inference import estimate_sigma2, test_statistic
 from dckrr.solver import SOLVE_PATHS
-from dckrr.spectra import Spectrum, spectrum_for
+from dckrr.spectra import Spectrum, TruncationError, spectrum_for
 
 __all__ = [
     "MODELS",
@@ -396,7 +396,7 @@ def _run_cell(cfg: SweepConfig, N: int, rho: float) -> CellResult:
     def one(seed):
         try:
             return _run_replication(cfg, N, s, lam, spec, seed)
-        except (ArithmeticError, ValueError, RuntimeError) as exc:
+        except (np.linalg.LinAlgError, TruncationError, FloatingPointError) as exc:
             return exc  # a numerical failure: recorded, not fatal
 
     if cfg.workers > 1:
@@ -405,25 +405,22 @@ def _run_cell(cfg: SweepConfig, N: int, rho: float) -> CellResult:
     else:
         outcomes = [one(seed) for seed in seeds]
 
-    mses, rejects, failures = [], [], 0
-    for out in outcomes:  # ordered fold
-        if isinstance(out, Exception):
-            failures += 1
-            continue
-        mses.append(out[0])
-        rejects.append(out[1])
-    if failures > 0.1 * cfg.replications:
-        raise SweepError(
-            f"cell N={N}, rho={rho}: {failures}/{cfg.replications} "
-            f"replications failed"
-        )
+    failed = [out for out in outcomes if isinstance(out, Exception)]
+    failures = len(failed)
     if failures:
+        first = f"the first: {type(failed[0]).__name__}: {failed[0]}"
+        if failures > 0.1 * cfg.replications:
+            raise SweepError(
+                f"cell N={N}, rho={rho}: {failures}/{cfg.replications} "
+                f"replications failed; {first}"
+            ) from failed[0]
         warnings.warn(
-            f"cell N={N}, rho={rho}: {failures} replications failed",
+            f"cell N={N}, rho={rho}: {failures} replications failed; {first}",
             UserWarning,
         )
-    mses_a = np.array(mses)
-    rej_a = np.array(rejects)
+    done = [out for out in outcomes if not isinstance(out, Exception)]  # ordered fold
+    mses_a = np.array([mse for mse, _ in done])
+    rej_a = np.array([reject for _, reject in done])
     k = len(mses_a)
     return CellResult(
         N=N, rho=rho, s=s, n=n, lam=lam,
@@ -442,12 +439,15 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     """Run the full (N, rho) grid.
 
     Per cell: ``s = max(1, round(N^rho))`` (half-up), ``n = floor(N/s)``;
-    replication ``r`` uses seed ``base_seed + r``. Replication failures
-    (``ArithmeticError``, ``ValueError`` or ``RuntimeError``, which cover
-    ``LinAlgError`` and :class:`~dckrr.spectra.TruncationError`) are
-    recorded; a cell with more than 10% failures raises
-    :class:`SweepError`, as does a cell whose ``n`` is below the null
-    space's dimension, before any replication. Any other exception is a
+    replication ``r`` uses seed ``base_seed + r``. A replication that raises
+    a numerical failure, ``LinAlgError`` (a fit that is not positive
+    definite, or residual degrees of freedom that are not positive),
+    :class:`~dckrr.spectra.TruncationError` or ``FloatingPointError``, is
+    counted and warned of; a cell with more than 10% failures raises
+    :class:`SweepError` from the first failure in replication order, whose
+    type and message it states. A cell whose ``n`` is below the null space's
+    dimension raises :class:`SweepError` before any replication. Any other
+    exception, a ``ValueError`` or ``RuntimeError`` included, is a
     programming error and propagates. Aggregation is an ordered fold over the
     replication index, so the result is identical for any worker count.
 

@@ -50,7 +50,6 @@ class Subsample:
 
     xs: NDArray[np.float64]
     ys: NDArray[np.float64]
-    machine_id: int = 0
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=np.float64)

@@ -45,7 +45,6 @@ __all__ = [
     "additive",
     "gaussian_rkhs",
     "thin_plate",
-    "explicit_spectrum",
     "FAMILIES",
     "spectrum_for",
     "truncation_level",
@@ -86,7 +85,7 @@ class Spectrum:
     ----------
     family:
         One of ``periodic_sobolev``, ``smoothing_spline``, ``additive``,
-        ``gaussian_rkhs``, ``thin_plate``, ``explicit``.
+        ``gaussian_rkhs``, ``thin_plate``.
     m:
         Smoothness order (unused for ``gaussian_rkhs``).
     d:
@@ -103,11 +102,11 @@ class Spectrum:
         families, ``m`` for the smoothing spline, 0 otherwise.
     tail:
         Bound on ``sum_{nu > M} mu_nu``, which :func:`spectral_sums` holds
-        the level to; 0 for the thin-plate and explicit spectra.
+        the level to; 0 for the thin-plate spectrum.
     sup_sq:
         Bound on ``phi(x)^2`` over ``[0, 1]^d`` and the whole basis, null
         space included, so that ``K(x, x) <= sup_sq * h_inv``; ``None`` for
-        the Gaussian (no uniform bound), thin-plate and explicit spectra.
+        the Gaussian (no uniform bound) and the thin-plate spectrum.
     has_eigenfunctions:
         Whether eigenfunction evaluation is available.
     """
@@ -466,24 +465,6 @@ def thin_plate(m: int, d: int, M: int = M_DEFAULT) -> Spectrum:
     )
 
 
-def explicit_spectrum(eigenvalues) -> Spectrum:
-    """A spectrum given directly by its eigenvalue sequence.
-
-    Supports the spectral sums and regularity checks only (no
-    eigenfunctions, no kernels); useful for diagnostics and calibration
-    against hand-computable sequences.
-    """
-    mu = np.asarray(eigenvalues, dtype=np.float64)
-    if mu.ndim != 1 or mu.size == 0:
-        raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-    if np.any(mu <= 0) or np.any(np.diff(mu) > 0):
-        raise ValueError("eigenvalues must be positive and nonincreasing")
-    return Spectrum(
-        family="explicit", m=0, d=1, scale=0.0, eigenvalues=mu,
-        null_dim=0, tail=0.0, sup_sq=None, has_eigenfunctions=False,
-    )
-
-
 def spectrum_for(family: str, m: int, d: int, lam: float, M: int | None = None,
                  scale: float = 1.0) -> Spectrum:
     """The spectrum of the family named ``family`` (one of :data:`FAMILIES`)
@@ -658,10 +639,14 @@ def null_basis(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def _as_points(X, d: int) -> NDArray[np.float64]:
     """Coerce input to an (n, d) point array, or keep a (b, n, d) one; 1-d
-    input means n points when d == 1 and a single point otherwise."""
+    input means n points when d == 1 and a single point otherwise. An array
+    of two or more axes whose last is not ``d`` is refused: a ``(b, n)``
+    stack of 1-d coordinates would otherwise read as ``b`` points."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim <= 1:
         return X.reshape(-1, 1) if d == 1 else X.reshape(1, -1)
+    if X.shape[-1] != d:
+        raise ValueError(f"points must be (n, {d}) or (b, n, {d}), got shape {X.shape}")
     return X
 
 

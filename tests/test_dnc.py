@@ -72,7 +72,6 @@ class TestPartition:
         idx = part.assignment[1]
         assert np.array_equal(sub.xs, data.xs[idx])
         assert np.array_equal(sub.ys, data.ys[idx])
-        assert sub.machine_id == 1
 
 
 BLOCK_CASES = {

@@ -14,7 +14,6 @@ from dckrr.inference import (
     estimate_sigma2,
     inverse_normal_cdf,
     norm_breakdown,
-    separation,
     test_statistic as wald_test,
 )
 from dckrr.solver import predict, smoother_trace
@@ -228,6 +227,13 @@ class TestEstimateSigma2:
         )
         assert feature == pytest.approx(gram, rel=1e-12)
 
+    def test_nonpositive_degrees_of_freedom_are_a_numerical_failure(self):
+        # machines of one point against the constant leave n - df - 1 < 0
+        # each: a LinAlgError, which a sweep counts
+        spec, data, part, est = _estimate(n=8, s=8)
+        with pytest.raises(np.linalg.LinAlgError, match="nonpositive residual degrees of freedom"):
+            estimate_sigma2(est, data, part)
+
     @pytest.mark.parametrize("path", ["exact_gram", "truncated_feature"])
     @pytest.mark.parametrize("make_spec, d", [
         (lambda: periodic_sobolev(2, M=32), 1),
@@ -292,29 +298,3 @@ class TestEstimateSigma2:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-
-class TestSeparation:
-    def test_formula_recompute(self):
-        spec = periodic_sobolev(2, M=64)
-        lam, N, n = 1e-3, 1024, 256
-        rep = separation(spec, lam, N=N, n=n, f_norm_H=1.0, a=1.0, b=1.0)
-        sums = spectral_sums(spec, lam)
-        h = 1.0 / sums.h_inv
-        b_term = (math.sqrt(lam) * 1.0 + (N * h) ** -0.5) * math.sqrt(
-            math.log(N) ** 1.0 / (n * h**1.0)
-        )
-        d_term = (
-            math.sqrt(lam) * 1.0
-            + (N * math.sqrt(h)) ** -0.5
-            + N**-0.5
-            + math.sqrt(b_term) * (N * h) ** -0.25
-            + b_term
-        )
-        assert rep.b_term == pytest.approx(b_term, rel=1e-12)
-        assert rep.d_term == pytest.approx(d_term, rel=1e-12)
-
-    def test_shrinks_with_N(self):
-        spec = periodic_sobolev(2, M=64)
-        r1 = separation(spec, 1e-3, N=512, n=128, f_norm_H=1.0, a=1.0, b=1.0)
-        r2 = separation(spec, 1e-4, N=8192, n=2048, f_norm_H=1.0, a=1.0, b=1.0)
-        assert r2.d_term < r1.d_term

@@ -1,6 +1,7 @@
 """Unit tests for the simulation lab."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,13 +195,15 @@ class TestRunSweep:
         def flaky(cfg, N, s, lam, spec, seed):
             calls["k"] += 1
             if calls["k"] % 2 == 0:
-                raise RuntimeError("synthetic failure")
+                raise np.linalg.LinAlgError("synthetic failure")
             return orig(cfg, N, s, lam, spec, seed)
 
         monkeypatch.setattr(simlab, "_run_replication", flaky)
         cfg = SweepConfig(N_list=(64,), rho_list=(0.3,), replications=4)
-        with pytest.raises(SweepError):
+        with pytest.raises(SweepError, match="2/4 replications failed; "
+                           "the first: LinAlgError: synthetic failure$") as exc:
             run_sweep(cfg)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_rare_failures_warn_but_survive(self, monkeypatch):
         orig = simlab._run_replication
@@ -209,7 +212,7 @@ class TestRunSweep:
         def once(cfg, N, s, lam, spec, seed):
             state["k"] += 1
             if state["k"] == 1:
-                raise RuntimeError("synthetic failure")
+                raise np.linalg.LinAlgError("synthetic failure")
             return orig(cfg, N, s, lam, spec, seed)
 
         monkeypatch.setattr(simlab, "_run_replication", once)
@@ -265,6 +268,32 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="synthetic bug"):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_value_error_in_a_stage_propagates_uncounted(self, monkeypatch, workers):
+        # a shape bug raises ValueError, which is not a numerical failure
+        calls = []
+
+        def shape_bug(est, model, c, grid_size=None):
+            calls.append(model)
+            raise ValueError("synthetic shape bug")
+
+        monkeypatch.setattr(simlab, "mse_of_estimate", shape_bug)
+        cfg = SweepConfig(N_list=(64,), rho_list=(0.3,), replications=20, workers=workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "replications failed" warning either
+            with pytest.raises(ValueError, match="synthetic shape bug"):
+                run_sweep(cfg)
+        assert calls
+
+    def test_nonpositive_plugin_degrees_of_freedom_are_counted(self):
+        # N=64, rho=0.8: machines of n=2 points against {1, x} leave no
+        # residual degrees of freedom, in every replication
+        cfg = SweepConfig(N_list=(64,), rho_list=(0.8,), replications=3, sigma2_mode="plugin")
+        with pytest.raises(SweepError, match="3/3 replications failed; the first: LinAlgError: "
+                           "nonpositive residual degrees of freedom$") as exc:
+            run_sweep(cfg)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
     def test_plugin_sigma2_runs(self):
         cfg = SweepConfig(
             N_list=(128,), rho_list=(0.3,), replications=2,
@@ -297,7 +326,7 @@ class TestBlasThreads:
         def spy(*args):
             seen.append(self._counts(libs))
             if fail:
-                raise RuntimeError("synthetic failure")
+                raise np.linalg.LinAlgError("synthetic failure")
             return orig(*args)
 
         monkeypatch.setattr(simlab, "_run_replication", spy)

@@ -20,7 +20,6 @@ from dckrr.solver import (
     smoother_trace,
 )
 from dckrr.spectra import (
-    explicit_spectrum,
     feature_matrix,
     gaussian_rkhs,
     gram_R,
@@ -32,7 +31,7 @@ from dckrr.spectra import (
 
 
 def _sub(xs, ys):
-    return Subsample(xs=np.asarray(xs, dtype=float), ys=np.asarray(ys, dtype=float), machine_id=0)
+    return Subsample(xs=np.asarray(xs, dtype=float), ys=np.asarray(ys, dtype=float))
 
 
 def _oracle_exact_gram(spec, xs, ys, lam):
@@ -248,7 +247,7 @@ class TestLinearityAndValidation:
     def test_input_validation(self):
         spec = periodic_sobolev(2, M=16)
         with pytest.raises(ValueError):
-            Subsample(xs=np.array([0.1, 0.2]), ys=np.array([1.0]), machine_id=0)
+            Subsample(xs=np.array([0.1, 0.2]), ys=np.array([1.0]))
         with pytest.raises(ValueError):
             krr_fit(spec, _sub([0.1], [1.0]), lam=-1.0, solve_path="exact_gram")
         with pytest.raises(ValueError):

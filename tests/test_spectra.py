@@ -21,7 +21,6 @@ from dckrr.spectra import (
     check_prop31_ratio,
     check_tail_sum,
     eval_kernel_K,
-    explicit_spectrum,
     feature_matrix,
     gaussian_rkhs,
     gram_R,
@@ -38,6 +37,14 @@ from dckrr import spectra
 from dckrr.spectra import _beam_roots, _gaussian_kernel, _periodic_phi
 
 RNG = np.random.default_rng(1234)
+
+
+def explicit_spectrum(eigenvalues) -> Spectrum:
+    """An eigenvalue-only spectrum with no null space and no tail, for sums
+    and regularity checks that can be computed by hand."""
+    return Spectrum(family="explicit", m=0, d=1, scale=0.0,
+                    eigenvalues=np.asarray(eigenvalues, dtype=np.float64), null_dim=0,
+                    tail=0.0, sup_sq=None, has_eigenfunctions=False)
 
 
 class TestEigenvalueLaws:
@@ -237,6 +244,29 @@ class TestEigenfunctions:
             for lone in (X[j], X[j, :, 0]) if spec.d == 1 else (X[j],):
                 assert np.array_equal(phi[j], feature_matrix(spec, lone))
                 assert np.array_equal(null[j], null_basis(spec, lone))
+
+    def test_a_stack_of_1d_coordinates_must_carry_its_point_axis(self):
+        # read as (n, d) points, a (3, 224) stack would be 3 points and lose
+        # 223 of each machine's coordinates; as (3, 224, 1) it is 3 machines
+        spec = smoothing_spline(2, M=16)
+        x = RNG.uniform(size=(3, 224))
+        for evaluate in (feature_matrix, null_basis, lambda spec, X: gram_R(spec, X, X)):
+            with pytest.raises(ValueError, match=re.escape("got shape (3, 224)")):
+                evaluate(spec, x)
+        phi = feature_matrix(spec, x[..., None])
+        assert phi.shape == (3, 224, 16)
+        assert np.array_equal(phi.reshape(-1, 16), feature_matrix(spec, x.reshape(-1)))
+
+    @pytest.mark.parametrize("spec", [additive(2, 2, M=16), gaussian_rkhs(2, 1.0, M=24)],
+                             ids=["additive", "gaussian-d2"])
+    def test_points_in_two_dimensions_are_n_by_2(self, spec):
+        X = RNG.uniform(size=(7, 2))
+        phi, null = feature_matrix(spec, X), null_basis(spec, X)
+        assert phi.shape == (7, spec.M) and null.shape == (7, spec.null_dim)
+        assert np.array_equal(phi, feature_matrix(spec, X[None])[0])
+        for bad in (X[:, :1], np.column_stack([X, X[:, 0]])):
+            with pytest.raises(ValueError, match=re.escape(f"(n, 2) or (b, n, 2), got shape {bad.shape}")):
+                feature_matrix(spec, bad)
 
 
 def _grid64():
