@@ -1,6 +1,6 @@
 """Simulation lab: data generation, replicated sweeps, aggregation.
 
-Two models are built in:
+Two models are built in, each a row of one table:
 
 * ``spline1d`` — ``y = c * 0.6 sin(1.5 pi x) + eps`` with ``x ~ Unif[0,1]``;
 * ``additive2d`` — ``y = c * (0.4 sin(1.5 pi x1) + 0.1 (0.5 - x2)^3) + eps``;
@@ -27,6 +27,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,7 +36,7 @@ from numpy.typing import NDArray
 from dckrr import dnc, rates
 from dckrr.inference import estimate_sigma2, test_statistic
 from dckrr.solver import SOLVE_PATHS
-from dckrr.spectra import Spectrum, TruncationError, spectrum_for
+from dckrr.spectra import Spectrum, TruncationError, _as_points, spectrum_for
 
 __all__ = [
     "MODELS",
@@ -54,10 +55,34 @@ __all__ = [
     "run_sweep",
 ]
 
-MODELS = ("spline1d", "additive2d")
 
-DEFAULT_GRID_1D = 512
-DEFAULT_GRID_2D = 64
+@dataclass(frozen=True)
+class _Model:
+    """A simulation model: the kernel family it is fitted in, its design
+    dimension ``d``, the default midpoints per axis of its MSE grid, and its
+    unit-amplitude signal at ``(n, d)`` points."""
+
+    family: str
+    d: int
+    grid_size: int
+    unit: Callable[[NDArray[np.float64]], NDArray[np.float64]]
+
+
+_MODELS = {
+    "spline1d": _Model("spline", 1, 512, lambda x: 0.6 * np.sin(1.5 * np.pi * x[..., 0])),
+    "additive2d": _Model(
+        "additive", 2, 64,
+        lambda x: 0.4 * np.sin(1.5 * np.pi * x[..., 0]) + 0.1 * (0.5 - x[..., 1]) ** 3,
+    ),
+}
+
+MODELS = tuple(_MODELS)
+
+
+def _model(name: str) -> _Model:
+    if name not in _MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    return _MODELS[name]
 
 
 class SweepError(RuntimeError):
@@ -205,21 +230,22 @@ class SweepConfig:
             ("grid_size", self.grid_size is None or self.grid_size >= 2, "must be >= 2"),
             ("base_seed", self.base_seed >= 0, "must be >= 0"),
             ("workers", self.workers >= 1, "must be >= 1"),
-            # with mu_k ~ k^-2 the truncation rule needs more than M_CAP
-            # eigenfunctions for any lambda below about 1e-2; and W^m[0,1]
-            # has closed-form eigenpairs for m <= 2 only, so spline1d takes 2
-            ("m", self.model == "spline1d" or self.m >= 2, "must be >= 2"),
         ))
-        if self.model == "spline1d" and self.m != 2:
-            raise FieldError("m", f"must be 2 for spline1d, got m={self.m}")
+        # W^m[0,1] has closed-form eigenpairs for m <= 2 only, so the spline
+        # family takes 2; and with mu_k ~ k^-2 the truncation rule needs more
+        # than M_CAP eigenfunctions for any lambda below about 1e-2
+        if self.family == "spline" and self.m != 2:
+            raise FieldError("m", f"must be 2 for {self.model}, got m={self.m}")
+        if self.m < 2:
+            raise FieldError("m", f"must be >= 2, got {self.m!r}")
 
     @property
     def d(self) -> int:
-        return 1 if self.model == "spline1d" else 2
+        return _MODELS[self.model].d
 
     @property
     def family(self) -> str:
-        return "spline" if self.model == "spline1d" else "additive"
+        return _MODELS[self.model].family
 
 
 @dataclass(frozen=True)
@@ -252,52 +278,49 @@ class ExperimentResult:
 
 
 def signal(model: str, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The unit-amplitude true signal of a model at design points."""
-    if model == "spline1d":
-        x = np.asarray(X, dtype=np.float64)
-        x = x if x.ndim == 1 else x[:, 0]
-        return 0.6 * np.sin(1.5 * np.pi * x)
-    if model == "additive2d":
-        pts = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        return 0.4 * np.sin(1.5 * np.pi * pts[:, 0]) + 0.1 * (0.5 - pts[:, 1]) ** 3
-    raise ValueError(f"unknown model {model!r}")
+    """The unit-amplitude true signal of a model at design points: ``(n,
+    d)``, or ``(n,)`` when ``d = 1``; points of another dimension raise
+    ``ValueError``."""
+    row = _model(model)
+    return row.unit(_as_points(X, row.d))
 
 
 def generate(model: str, N: int, seed: int, c: float = 1.0) -> dnc.Dataset:
-    """Draw a sample: uniform design, signal scaled by ``c``, N(0,1) noise.
+    """Draw a sample: uniform design on ``[0, 1]^d``, signal scaled by
+    ``c``, N(0,1) noise. The design is ``(N, d)``, or ``(N,)`` when ``d = 1``.
 
     Deterministic given ``seed`` (counter-based generator, stream 0).
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    d = 1 if model == "spline1d" else 2
+    d = _model(model).d
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    xs = rng.uniform(0.0, 1.0, size=(N, d)) if d > 1 else rng.uniform(0.0, 1.0, size=N)
+    xs = rng.uniform(0.0, 1.0, size=(N, d))
     ys = c * signal(model, xs) + rng.standard_normal(N)
-    return dnc.Dataset(xs=xs, ys=ys)
+    return dnc.Dataset(xs=xs[:, 0] if d == 1 else xs, ys=ys)
 
 
-def _eval_grid(model: str, grid_size: int) -> NDArray[np.float64]:
+def _eval_grid(d: int, grid_size: int) -> NDArray[np.float64]:
+    """The ``grid_size^d`` midpoints of the regular grid on ``[0, 1]^d``, as
+    ``(grid_size^d, d)`` rows with the last coordinate fastest, or
+    ``(grid_size,)`` when ``d = 1``, as :func:`generate`'s design."""
     axis = (np.arange(grid_size) + 0.5) / grid_size
-    if model == "spline1d":
-        return axis
-    g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-    return np.column_stack([g1.reshape(-1), g2.reshape(-1)])
+    grid = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    return grid[:, 0] if d == 1 else grid
 
 
 def mse_of_estimate(
     est: dnc.DncEstimate, model: str, c: float, grid_size: int | None = None
 ) -> float:
-    """Grid-L2 error of the averaged estimate against ``c * signal``.
-
-    1D: ``grid_size`` midpoints (default 512); 2D: ``grid_size x grid_size``
-    (default 64 x 64).
+    """Grid-L2 error of the averaged estimate against ``c * signal``, over
+    ``grid_size`` midpoints per axis of ``[0, 1]^d``: by default the model's
+    own, 512 for ``spline1d`` and 64 (a 64 x 64 grid) for ``additive2d``.
     """
-    if grid_size is None:
-        grid_size = DEFAULT_GRID_1D if model == "spline1d" else DEFAULT_GRID_2D
+    row = _model(model)
+    grid_size = row.grid_size if grid_size is None else grid_size
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    grid = _eval_grid(model, grid_size)
+    grid = _eval_grid(row.d, grid_size)
     truth = c * signal(model, grid)
     return float(np.mean((dnc.predict_bar(est, grid) - truth) ** 2))
 

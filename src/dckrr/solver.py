@@ -200,8 +200,9 @@ def predict(spec: Spectrum, fit: MachineFit, X: NDArray[np.float64]) -> NDArray[
 def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArray[np.float64]]:
     """Each fit's values at ``X``, in order, with the basis at ``X`` evaluated once.
 
-    Only the scaled basis a solve path multiplies by is built, on first use
-    and in place: ``phi * sqrt(mu)`` for ``truncated_feature`` and
+    The fits share one solve path, as one fit or the fits of one
+    :func:`~dckrr.dnc.fit_all` do, and only the scaled basis it multiplies
+    by is built, in place: ``phi * sqrt(mu)`` for ``truncated_feature`` and
     ``phi * mu`` (the left factor of :func:`~dckrr.spectra.gram_R`) for
     ``exact_gram``, whose right factor is the fit's kept ``features``. The
     ``exact_gram`` cross-grams ``(len(X), n)`` are written into one buffer
@@ -210,21 +211,18 @@ def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArr
     """
     X = np.asarray(X, dtype=np.float64)
     null = null_basis(spec, X)
-    scaled = {}  # solve path -> scaled basis at X
+    exact = fits[0].solve_path == "exact_gram"
+    F = feature_matrix(spec, X)
+    F *= spec.eigenvalues if exact else np.sqrt(spec.eigenvalues)
     R = None  # the reused exact_gram cross-gram
     for fit in fits:
-        if fit.solve_path not in scaled:
-            F = feature_matrix(spec, X)
-            F *= spec.eigenvalues if fit.solve_path == "exact_gram" else np.sqrt(spec.eigenvalues)
-            scaled[fit.solve_path] = F
-        if fit.solve_path == "exact_gram":
-            left = scaled[fit.solve_path]
-            if R is None or R.shape[1] != fit.features.shape[0]:
-                R = np.empty((left.shape[0], fit.features.shape[0]))
-            np.matmul(left, fit.features.T, out=R)
-            yield null @ fit.beta + R @ fit.alpha
-        else:
-            yield null @ fit.beta + scaled[fit.solve_path] @ fit.theta
+        if not exact:
+            yield null @ fit.beta + F @ fit.theta
+            continue
+        if R is None or R.shape[1] != fit.features.shape[0]:
+            R = np.empty((F.shape[0], fit.features.shape[0]))
+        np.matmul(F, fit.features.T, out=R)
+        yield null @ fit.beta + R @ fit.alpha
 
 
 def smoother_trace(spec: Spectrum, sub: Subsample, lam: float) -> float:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -156,19 +156,6 @@ class SpectralSums:
     h_inv2: float
 
 
-def _pair_eigenvalues(m: int, n_pairs: int) -> NDArray[np.float64]:
-    """Eigenvalues (2*pi*k)^(-2m), each repeated for the sin/cos pair."""
-    k = np.arange(1, n_pairs + 1, dtype=np.float64)
-    return np.repeat((2.0 * np.pi * k) ** (-2 * m), 2)
-
-
-def _pair_tail(m: int, d: int, M: int) -> float:
-    """The ``tail`` of ``d`` periodic components truncated at ``M`` in all:
-    ``M // (2d)`` complete sin/cos pairs each, bounded by the integral."""
-    k_max = float(M // (2 * d))
-    return 2.0 * d * (2.0 * np.pi) ** (-2 * m) * k_max ** (1 - 2 * m) / (2 * m - 1)
-
-
 def _check_level(M: int, unit: int) -> None:
     """Refuse a level ``M`` of finite eigenfunctions that is not a positive
     multiple of the family's ``unit`` within the cap ``M_CAP``."""
@@ -211,27 +198,17 @@ def truncation_level(m: int, lam: float, d: int = 1) -> int:
 
 
 def periodic_sobolev(m: int, M: int = M_DEFAULT) -> Spectrum:
-    """Periodic Sobolev spectrum of order ``m`` on [0, 1].
+    """Periodic Sobolev spectrum of order ``m`` on [0, 1]: :func:`additive`
+    with ``d = 1`` under its own family name, whose :func:`feature_matrix`
+    builds the basis in row tiles without the additive family's search for
+    repeated coordinates.
 
     Finite eigenpairs: columns ``2k - 2`` and ``2k - 1`` of
     :func:`feature_matrix` are ``sqrt(2) sin(2*pi*k*x)`` and ``sqrt(2)
     cos(2*pi*k*x)``, both with eigenvalue ``(2*pi*k)^(-2m)``; the constant
     is the null space.
     """
-    if m < 1:
-        raise ValueError("m must be a positive integer")
-    _check_level(M, 2)
-    return Spectrum(
-        family="periodic_sobolev",
-        m=m,
-        d=1,
-        scale=0.0,
-        eigenvalues=_pair_eigenvalues(m, M // 2),
-        null_dim=1,
-        tail=_pair_tail(m, 1, M),
-        sup_sq=2.0,
-        has_eigenfunctions=True,
-    )
+    return replace(additive(m, 1, M), family="periodic_sobolev")
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,10 +318,10 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
     if M is None:
         M = math.ceil(M_DEFAULT / (2 * d)) * 2 * d
     _check_level(M, 2 * d)
-    per_comp = M // d
-    mu_comp = _pair_eigenvalues(m, per_comp // 2)  # mu(p) for p = 1..per_comp
-    # interleave: index j = (p-1)*d + k  ->  mu(p)
-    eigenvalues = np.repeat(mu_comp, d)
+    pairs = M // (2 * d)  # complete sin/cos pairs per component
+    k = np.arange(1, pairs + 1, dtype=np.float64)
+    # (2 pi k)^(-2m) for the sin and cos of pair k, then once per component
+    eigenvalues = np.repeat(np.repeat((2.0 * np.pi * k) ** (-2 * m), 2), d)
     return Spectrum(
         family="additive",
         m=m,
@@ -352,7 +329,8 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
         scale=0.0,
         eigenvalues=eigenvalues,
         null_dim=1,
-        tail=_pair_tail(m, d, M),
+        # each component's tail past its last pair, bounded by the integral
+        tail=2.0 * d * (2.0 * np.pi) ** (-2 * m) * float(pairs) ** (1 - 2 * m) / (2 * m - 1),
         sup_sq=2.0,
         has_eigenfunctions=True,
     )
@@ -639,13 +617,14 @@ def null_basis(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def _as_points(X, d: int) -> NDArray[np.float64]:
     """Coerce input to an (n, d) point array, or keep a (b, n, d) one; 1-d
-    input means n points when d == 1 and a single point otherwise. An array
-    of two or more axes whose last is not ``d`` is refused: a ``(b, n)``
-    stack of 1-d coordinates would otherwise read as ``b`` points."""
+    input means n points when d == 1 and one point when it holds d
+    coordinates. Every other shape is refused: a ``(b, n)`` stack of 1-d
+    coordinates would otherwise read as ``b`` points, and ``d + 1``
+    coordinates as one point with the last dropped."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim <= 1:
-        return X.reshape(-1, 1) if d == 1 else X.reshape(1, -1)
-    if X.shape[-1] != d:
+    if X.ndim <= 1 and (d == 1 or X.size == d):
+        return X.reshape(-1, d)
+    if X.ndim <= 1 or X.shape[-1] != d:
         raise ValueError(f"points must be (n, {d}) or (b, n, {d}), got shape {X.shape}")
     return X
 

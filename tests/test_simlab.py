@@ -39,6 +39,14 @@ class TestSignal:
         with pytest.raises(ValueError):
             signal("bogus", np.array([0.5]))
 
+    @pytest.mark.parametrize("model, X", [
+        ("spline1d", np.full((5, 2), 0.25)),  # would read column 0 only
+        ("additive2d", [[0.1, 0.2, 0.3]]),  # would drop the third coordinate
+    ], ids=["spline1d-2d-points", "additive2d-3d-points"])
+    def test_points_of_another_dimension_are_refused(self, model, X):
+        with pytest.raises(ValueError, match="points must be"):
+            signal(model, X)
+
 
 class TestGenerate:
     def test_deterministic_in_seed(self):
@@ -99,6 +107,17 @@ class TestMse:
         est = self._zero_estimate()
         with pytest.raises(ValueError):
             mse_of_estimate(est, "spline1d", c=1.0, grid_size=1)
+
+    def test_grid_is_the_d_fold_midpoint_product(self):
+        # 1-D points stay flat, as generate's design: the benchmark's spline
+        # check reads predict_bar's points as (n,)
+        axis = (np.arange(4) + 0.5) / 4
+        assert np.array_equal(simlab._eval_grid(1, 4), axis)
+        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+        assert np.array_equal(simlab._eval_grid(2, 4), np.column_stack([g1.ravel(), g2.ravel()]))
+        grid = simlab._eval_grid(3, 4)
+        assert grid.shape == (64, 3)
+        assert np.array_equal(grid[:4], np.column_stack([np.full(4, axis[0])] * 2 + [axis]))
 
 
 class TestSweepConfig:

@@ -264,9 +264,12 @@ class TestEigenfunctions:
         phi, null = feature_matrix(spec, X), null_basis(spec, X)
         assert phi.shape == (7, spec.M) and null.shape == (7, spec.null_dim)
         assert np.array_equal(phi, feature_matrix(spec, X[None])[0])
-        for bad in (X[:, :1], np.column_stack([X, X[:, 0]])):
-            with pytest.raises(ValueError, match=re.escape(f"(n, 2) or (b, n, 2), got shape {bad.shape}")):
-                feature_matrix(spec, bad)
+        assert np.array_equal(feature_matrix(spec, X[0]), feature_matrix(spec, X[:1]))
+        # a 1-d array of 3 coordinates is no 2-d point: its last would be dropped
+        for bad in (X[:, :1], np.column_stack([X, X[:, 0]]), np.append(X[0], 0.5)):
+            for evaluate in (feature_matrix, null_basis):
+                with pytest.raises(ValueError, match=re.escape(f"(n, 2) or (b, n, 2), got shape {bad.shape}")):
+                    evaluate(spec, bad)
 
 
 def _grid64():
