@@ -2,20 +2,25 @@
 
     python3 scripts/compare_outputs.py <git-ref>
 
-Runs ``dckrr.cli.main`` on a fixed list of ``sweep`` and ``diagnose``
-configs, once with the ``src`` of ``<ref>`` and once with the working
-tree's, each in a fresh interpreter. For every config the two runs must
-agree on the exit code, on the warnings raised (a sweep warns of each cell's
-failure count), on stderr, and byte for byte on ``sweep.csv`` or
-``diagnostics.json``. The configs that differ are printed; the exit code is
-1 if any do, 0 if none does, and 2 if ``<ref>`` cannot be checked out.
+Runs ``dckrr.cli.main`` on a fixed list of ``sweep``, ``diagnose`` and
+``rates`` configs, once with the ``src`` of ``<ref>`` and once with the
+working tree's, each in a fresh interpreter. For every config the two runs
+must agree on the exit code, on the warnings raised (a sweep warns of each
+cell's failure count, ``rates`` of a bound it breaks), on stdout (with the
+output directory's path masked) and stderr, and byte for byte on
+``sweep.csv`` or ``diagnostics.json``. The configs that differ are printed,
+with the stdout and stderr lines that differ; the exit code is 1 if any
+do, 0 if none does, and 2 if ``<ref>`` cannot be checked out.
 
 The list: the 18 sweep configs of the benchmark (``perfbench/workloads.py``,
 3 workloads x seeds 0..2 x rounds 0..1); plug-in ``sigma2`` cells of both
 models and an explicit-``lambda`` ``spline1d`` pair, each on both solve
 paths; an ``additive2d`` cell on a 20 x 20 grid; and ``diagnose`` with no
 config, with each family by name (with the ``xi`` diagnostic where the
-family has eigenfunctions) and with the thin plate at ``d = 2, M = 2048``.
+family has eigenfunctions) and with the thin plate at ``d = 2, M = 2048``;
+and ``rates`` for each family of ``rates.FAMILIES`` and both tasks at a few
+``(m, d, N)``, among them an additive ``d`` past its dimension bound, the
+thin plate's nonpositive testing exponent, and a refused ``m``.
 
 ``<ref>`` is extracted with ``git archive`` into a temporary directory, so
 the repository's ``.git`` is left as it was.
@@ -24,6 +29,7 @@ the repository's ``.git`` is left as it was.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import filecmp
 import io
 import json
@@ -48,6 +54,13 @@ FAMILIES = {
     "gaussian": {"d": 2},
     "gaussian_rkhs": {"scale": 2.0},
     "thin_plate": {},
+}
+# each family of rates.FAMILIES, with the (m, d, N) it is prescribed at
+RATES = {
+    "spline": [(2, 1, 4096), (3, 1, 1000)],
+    "additive": [(2, 2, 4096), (3, 2, 1000), (2, 50, 64)],
+    "gaussian": [(0, 1, 64), (0, 2, 1000), (0, 3, 8192)],
+    "thin_plate": [(2, 2, 4096), (3, 2, 1000), (1, 2, 1024)],
 }
 
 
@@ -78,13 +91,18 @@ def cases() -> dict[str, tuple[str, dict]]:
         out[f"diagnose-{family}"] = ("diagnose", config if family == "thin_plate" else dict(config, xi=XI))
     out["diagnose-thin_plate-d2-M2048"] = (
         "diagnose", {"spectrum": {"family": "thin_plate", "d": 2, "M": 2048}})
+    for family, points in RATES.items():
+        for m, d, N in points:
+            for task in ("estimation", "testing"):
+                out[f"rates-{family}-m{m}-d{d}-N{N}-{task}"] = (
+                    "rates", {"family": family, "m": m, "d": d, "N": N, "task": task})
     return out
 
 
 def run_cases(src: str, cases_path: str, out: str) -> None:
     """Run every case of ``cases_path`` with the ``dckrr`` of ``src``, each
     in its own directory under ``out``, and write each one's exit code,
-    warnings and stderr to ``out/results.json``. Runs in a fresh
+    warnings, stdout and stderr to ``out/results.json``. Runs in a fresh
     interpreter, as only one ``dckrr`` can be imported in a process."""
     sys.path.insert(0, src)
     from dckrr import cli
@@ -97,15 +115,20 @@ def run_cases(src: str, cases_path: str, out: str) -> None:
     for name, (command, config) in todo.items():
         case_dir = os.path.join(out, name)
         os.makedirs(case_dir)
-        config_path = os.path.join(case_dir, "config.json")
-        with open(config_path, "w") as fh:
-            json.dump(config, fh)
-        stderr = io.StringIO()
+        if command == "rates":
+            argv = [command] + [f"--{key}={value}" for key, value in config.items()]
+        else:
+            config_path = os.path.join(case_dir, "config.json")
+            with open(config_path, "w") as fh:
+                json.dump(config, fh)
+            argv = [command, "--config", config_path, "--out", case_dir]
+        stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
-            code = cli.main([command, "--config", config_path, "--out", case_dir])
+            code = cli.main(argv)
         results[name] = {"code": code, "warnings": [str(w.message) for w in caught],
+                         "stdout": stdout.getvalue().replace(case_dir, "<out>"),
                          "stderr": stderr.getvalue()}
     with open(os.path.join(out, "results.json"), "w") as fh:
         json.dump(results, fh)
@@ -121,7 +144,7 @@ def _run_tree(src: str, cases_path: str, out: str) -> dict:
 
 def _differences(name: str, before: dict, after: dict, dirs: tuple[str, str]) -> list[str]:
     """What differs between the two runs of case ``name``."""
-    found = [key for key in ("code", "warnings", "stderr") if before[key] != after[key]]
+    found = [key for key in ("code", "warnings", "stdout", "stderr") if before[key] != after[key]]
     for output in OUTPUTS:
         paths = [os.path.join(d, name, output) for d in dirs]
         exists = [os.path.exists(p) for p in paths]
@@ -160,6 +183,11 @@ def main(argv: list[str]) -> int:
             if found:
                 differing += 1
                 print(f"differs: {name}: {', '.join(found)}")
+                for key in ("stdout", "stderr"):
+                    for line in difflib.ndiff(before[name][key].splitlines(),
+                                              after[name][key].splitlines()):
+                        if line[0] in "-+":
+                            print(f"  {key} {line}")
     codes = sorted({str(r["code"]) for r in after.values()})
     print(f"{differing} of {len(todo)} configs differ from {ref} "
           f"(exit codes: {', '.join(codes)})")

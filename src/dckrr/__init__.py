@@ -39,7 +39,6 @@ from dckrr.inference import (
     NormBreakdown,
     TestReport,
     estimate_sigma2,
-    inverse_normal_cdf,
     norm_breakdown,
     test_statistic,
 )

@@ -21,7 +21,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -218,15 +217,13 @@ def cmd_rates(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    rho = math.log(rx.s_max) / math.log(args.N)
     print("family,task,m,d,N,lambda,s_max,rho_max,rate")
     print(
         f"{rx.family},{rx.task},{rx.m},{rx.d},{rx.N},"
-        f"{_fmt(rx.lam)},{rx.s_max},{_fmt(rho)},{_fmt(rx.rate)}"
+        f"{_fmt(rx.lam)},{rx.s_max},{_fmt(rx.rho_max)},{_fmt(rx.rate)}"
     )
-    if rx.exponents:
-        exps = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(rx.exponents.items()))
-        print(f"# exponents: {exps}")
+    exps = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(rx.exponents.items()))
+    print(f"# exponents: {exps}")
     for msg in rx.warnings:
         print(f"# warning: {msg}")
     return EXIT_OK

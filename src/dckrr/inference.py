@@ -27,7 +27,6 @@ __all__ = [
     "norm_breakdown",
     "test_statistic",
     "estimate_sigma2",
-    "inverse_normal_cdf",
 ]
 
 @dataclass(frozen=True)
@@ -94,7 +93,9 @@ def test_statistic(
     center = sigma2 * sums.h_inv / N
     scale = math.sqrt(2.0 * N * (N - 1) * sums.h_inv2) * sigma2 / N**2
     z = (T - center) / scale
-    crit = inverse_normal_cdf(1.0 - alpha / 2.0)
+    from scipy.special import ndtri  # deferred: it would add about 60 ms to ``import dckrr``
+
+    crit = float(ndtri(1.0 - alpha / 2.0))
     return TestReport(
         statistic=T, center=center, scale=scale, z=z, critical=crit,
         reject=bool(abs(z) >= crit), alpha=alpha, N=N, lam=est.lam, sigma2=sigma2,
@@ -130,12 +131,3 @@ def estimate_sigma2(est: DncEstimate, data: Dataset, part: Partition) -> float:
     if dof <= 0:
         raise np.linalg.LinAlgError("nonpositive residual degrees of freedom")
     return rss / dof
-
-
-def inverse_normal_cdf(p: float) -> float:
-    """Standard normal quantile function."""
-    import scipy.special  # deferred: it would add about 60 ms to ``import dckrr``
-
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    return float(scipy.special.ndtri(p))

@@ -1,4 +1,4 @@
-"""Unit tests for inference: norm accounting, the Wald test, and the normal CDF inverse."""
+"""Unit tests for inference: norm accounting, the Wald test, and plug-in sigma^2."""
 
 import math
 import tracemalloc
@@ -12,7 +12,6 @@ from dckrr.dnc import Dataset, fit_all, partition, predict_bar, subsample_for
 from dckrr.inference import (
     NormBreakdown,
     estimate_sigma2,
-    inverse_normal_cdf,
     norm_breakdown,
     test_statistic as wald_test,
 )
@@ -35,29 +34,6 @@ def _estimate(n=96, s=4, lam=1e-3, seed=0, solve_path="truncated_feature", c=0.6
     spec = periodic_sobolev(2, M=64)
     part = partition(data, s=s, seed=seed)
     return spec, data, part, fit_all(spec, data, part, lam=lam, solve_path=solve_path)
-
-
-class TestInverseNormalCdf:
-    def test_matches_scipy_on_grid(self):
-        ps = np.concatenate([
-            np.array([1e-12, 1e-9, 1e-6, 0.01, 0.024, 0.025, 0.5, 0.975, 0.976, 0.99]),
-            np.linspace(0.001, 0.999, 199),
-        ])
-        for p in ps:
-            assert inverse_normal_cdf(p) == pytest.approx(float(scipy.special.ndtri(p)), abs=1e-9)
-        # the extreme upper tail is ill-conditioned in p; allow a looser band
-        for p in (1 - 1e-6, 1 - 1e-9, 1 - 1e-12):
-            assert inverse_normal_cdf(p) == pytest.approx(float(scipy.special.ndtri(p)), abs=1e-7)
-
-    def test_reference_quantile(self):
-        assert inverse_normal_cdf(0.975) == pytest.approx(1.9599639845400538, abs=1e-12)
-
-    def test_symmetry_and_validation(self):
-        assert inverse_normal_cdf(0.5) == 0.0
-        assert inverse_normal_cdf(0.3) == pytest.approx(-inverse_normal_cdf(0.7), abs=1e-12)
-        for bad in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValueError):
-                inverse_normal_cdf(bad)
 
 
 class TestNormBreakdown:
@@ -164,7 +140,14 @@ class TestTestStatistic:
         assert report.center == pytest.approx(center, rel=1e-12)
         assert report.scale == pytest.approx(scale, rel=1e-12)
         assert report.z == pytest.approx((report.statistic - center) / scale, rel=1e-12)
-        assert report.reject == (abs(report.z) >= inverse_normal_cdf(0.975))
+        assert report.reject == (abs(report.z) >= report.critical)
+
+    @pytest.mark.parametrize("alpha, quantile", [
+        (0.01, 2.5758293035489004), (0.05, 1.9599639845400538), (0.2, 1.2815515655446004)])
+    def test_critical_is_the_two_sided_normal_quantile(self, alpha, quantile):
+        report = wald_test(_estimate()[3], N=96, alpha=alpha)
+        assert report.critical == float(scipy.special.ndtri(1.0 - alpha / 2.0))
+        assert report.critical == pytest.approx(quantile, abs=1e-12)
 
     def test_statistic_is_squared_norm_with_constant(self):
         spec, data, part, est = _estimate()

@@ -1,6 +1,8 @@
 """Unit tests for the rate prescriptions."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +41,11 @@ class TestSplineExponents:
         assert rho_max("spline", 2, 1, 4096, "estimation") == pytest.approx(
             math.log(93) / math.log(4096), rel=1e-12
         )
+
+    def test_rho_max_is_the_prescriptions(self):
+        rx = prescribe("spline", 2, 1, 4096, "testing")
+        assert rx.rho_max == rho_max("spline", 2, 1, 4096, "testing")
+        assert rx.rho_max == math.log(rx.s_max) / math.log(4096)
 
     def test_rho_max_approaches_exponent(self):
         tight = rho_max("spline", 2, 1, 10**12, "estimation")
@@ -89,6 +96,56 @@ class TestAdditive:
         with w.catch_warnings():
             w.simplefilter("error")
             prescribe("additive", m=2, d=2, N=8192, task="estimation")
+
+
+    def test_first_warning_dimension_is_the_printed_bound(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rxs = [prescribe("additive", 2, d, 4096, "testing") for d in range(1, 20)]
+        first = next(rx for rx in rxs if rx.warnings)
+        bound = float(re.search(r"bound \(~([^)]+)\)", first.warnings[0]).group(1))
+        assert first.d == math.ceil(bound) == 4
+
+
+class TestSobolevLambdaBits:
+    """The spline and additive ``lambda`` that sweeps read, against the
+    formulas ``MU1 * N**e`` (estimation) and ``MU1 * d**e_d * N**e``
+    (testing) by ``==``: a change of evaluation order moves ``sweep.csv``."""
+
+    @pytest.mark.parametrize("family, d", [("spline", 1), ("additive", 2)])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_lambda_bits(self, family, d, m):
+        mu1 = (2.0 * math.pi) ** (-2 * m)
+        e_est = -2.0 * m / (2 * m + 1)
+        e_test, e_test_d = -4.0 * m / (4 * m + 1), -2.0 * m / (4 * m + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for N in range(4, 8193):
+                assert prescribe(family, m, d, N, "estimation").lam == mu1 * N**e_est
+                assert prescribe(family, m, d, N, "testing").lam == mu1 * d**e_test_d * N**e_test
+
+
+class TestExponentsAreTheRule:
+    CASES = [("spline", 2, 1), ("spline", 3, 1), ("additive", 2, 2), ("additive", 3, 5),
+             ("gaussian", 0, 1), ("gaussian", 0, 3), ("thin_plate", 2, 2), ("thin_plate", 3, 2)]
+
+    @pytest.mark.parametrize("family, m, d", CASES)
+    @pytest.mark.parametrize("task", TASKS)
+    def test_evaluating_the_exponents_gives_the_prescription(self, family, m, d, task):
+        for N in (2, 64, 1000, 4096, 10**6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rx = prescribe(family, m, d, N, task)
+            e = rx.exponents
+            assert "s_max_log" in e
+            assert set(e) <= {f"{q}_{k}" for q in ("lambda", "s_max", "rate") for k in ("N", "d", "log")}
+
+            def power(q, coef):
+                return coef * d ** e.get(f"{q}_d", 0) * N ** e.get(f"{q}_N", 0) * math.log(N) ** e.get(f"{q}_log", 0)
+
+            assert rx.lam == power("lambda", leading_eigenvalue(family, m))
+            assert rx.s_max == max(1, math.floor(power("s_max", 1.0)))
+            assert rx.rate == power("rate", 1.0)
 
 
 class TestGaussian:
