@@ -17,8 +17,9 @@ The list: the 18 sweep configs of the benchmark (``perfbench/workloads.py``,
 models and an explicit-``lambda`` ``spline1d`` pair, each on both solve
 paths; an ``additive2d`` cell on a 20 x 20 grid; and ``diagnose`` with no
 config, with each family by name (with the ``xi`` diagnostic where the
-family has eigenfunctions) and with the thin plate at ``d = 2, M = 2048``;
-and ``rates`` for each family of ``rates.FAMILIES`` and both tasks at a few
+family has eigenfunctions), with the thin plate at ``d = 2, M = 2048`` and
+with the additive family at ``d = 2`` on an ``xi`` partition that drops
+rows (``s`` does not divide ``N``); and ``rates`` for each family of ``rates.FAMILIES`` and both tasks at a few
 ``(m, d, N)``, among them an additive ``d`` past its dimension bound, the
 thin plate's nonpositive testing exponent, and a refused ``m``.
 
@@ -44,6 +45,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUTPUTS = ("sweep.csv", "diagnostics.json")
 SOLVE_PATHS = ("exact_gram", "truncated_feature")
 XI = {"N": 512, "s": 4}
+XI_DROPPING = {"N": 515, "s": 4}  # 3 rows left out of the machines' gather
 # each family of spectra.FAMILIES, with the fields that read it in two
 # dimensions or at another bandwidth; all but the thin plate have the
 # eigenfunctions that the xi diagnostic needs
@@ -91,6 +93,8 @@ def cases() -> dict[str, tuple[str, dict]]:
         out[f"diagnose-{family}"] = ("diagnose", config if family == "thin_plate" else dict(config, xi=XI))
     out["diagnose-thin_plate-d2-M2048"] = (
         "diagnose", {"spectrum": {"family": "thin_plate", "d": 2, "M": 2048}})
+    out["diagnose-additive-d2-xi-N515-s4"] = (
+        "diagnose", {"spectrum": {"family": "additive", "d": 2}, "xi": XI_DROPPING})
     for family, points in RATES.items():
         for m, d, N in points:
             for task in ("estimation", "testing"):

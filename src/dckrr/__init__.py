@@ -25,7 +25,7 @@ from dckrr.spectra import (
     thin_plate,
     truncation_level,
 )
-from dckrr.solver import MachineFit, Subsample, krr_fit, predict, smoother_trace
+from dckrr.solver import MachineFit, krr_fit, predict, smoother_trace
 from dckrr.dnc import (
     Dataset,
     DncEstimate,
@@ -42,7 +42,7 @@ from dckrr.inference import (
     norm_breakdown,
     test_statistic,
 )
-from dckrr.rates import RatePrescription, prescribe, rho_max
+from dckrr.rates import RatePrescription, prescribe
 from dckrr.simlab import (
     ExperimentResult,
     SweepConfig,

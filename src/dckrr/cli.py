@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -42,7 +43,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EXPERIMENT = 3
 
-CSV_HEADER = "N,rho,s,n,lambda,mse_mean,mse_stderr,reject_rate,reject_stderr,reps,dropped"
+# sweep.csv's columns, in order: (header, the CellResult attribute written)
+CSV_COLUMNS = (
+    ("N", "N"), ("rho", "rho"), ("s", "s"), ("n", "n"), ("lambda", "lam"), ("mse_mean", "mse_mean"),
+    ("mse_stderr", "mse_stderr"), ("reject_rate", "reject_rate"),
+    ("reject_stderr", "reject_stderr"), ("reps", "reps"), ("dropped", "dropped"),
+)
 
 
 class ConfigError(ValueError):
@@ -185,26 +191,10 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     with open(csv_path, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+        fh.write(",".join(name for name, _ in CSV_COLUMNS) + "\n")
         for cell in result.cells:
-            fh.write(
-                ",".join(
-                    [
-                        str(cell.N),
-                        _fmt(cell.rho),
-                        str(cell.s),
-                        str(cell.n),
-                        _fmt(cell.lam),
-                        _fmt(cell.mse_mean),
-                        _fmt(cell.mse_stderr),
-                        _fmt(cell.reject_rate),
-                        _fmt(cell.reject_stderr),
-                        str(cell.reps),
-                        str(cell.dropped),
-                    ]
-                )
-                + "\n"
-            )
+            values = (getattr(cell, attr) for _, attr in CSV_COLUMNS)
+            fh.write(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in values) + "\n")
     _write_manifest(args.out, dataclasses.asdict(cfg), [csv_path], cfg.base_seed, t0,
                     blas_threads=result.blas_threads)
     print(f"wrote {csv_path} ({len(result.cells)} rows)")
@@ -213,7 +203,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_rates(args) -> int:
     try:
-        rx = rates.prescribe(args.family, args.m, args.d, args.N, args.task)
+        with warnings.catch_warnings():
+            # each warning is printed once, as a "# warning:" line below
+            warnings.simplefilter("ignore", UserWarning)
+            rx = rates.prescribe(args.family, args.m, args.d, args.N, args.task)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

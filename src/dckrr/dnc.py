@@ -1,17 +1,20 @@
 """Divide-and-conquer pipeline: partition, per-machine fits, averaging.
 
-``partition`` shuffles the sample and deals it into ``s`` machines of equal
-size ``n = floor(N/s)`` (the remainder is dropped and recorded). ``fit_all``
-fits each machine independently, in machine order, a block of machines at a
-time, and averages them into a :class:`DncEstimate`. A block shares one
-evaluation of the basis, and each fit has the bits of fitting its machine
-alone. A ``truncated_feature`` block allocates one design array and builds
-its basis in cache-sized row tiles, so it holds one block-sized array, not
-three. An ``exact_gram`` fit keeps its basis at its design points, so the
-estimate's coefficients, :func:`predict_bar` and the plug-in variance read
-it instead of evaluating it again. The bits also depend on the
-BLAS thread count, which :func:`~dckrr.simlab.run_sweep` fixes at one;
-outside a sweep it is the caller's.
+``partition`` deals a :class:`~dckrr.solver.Dataset` of ``N`` points into
+``s`` machines of equal size ``n = floor(N/s)`` (the remainder is dropped and
+recorded), so a machine's data is some rows of the sample. ``fit_all``,
+:func:`xi_diagnostic` and the plug-in variance each gather every machine's
+rows at once, ``data.xs[part.assignment]``, and read machine ``j`` as row
+``j``. ``fit_all`` fits each machine independently, in machine order, a block
+of machines at a time, and averages them into a :class:`DncEstimate`. A block
+shares one evaluation of the basis, and each fit has the bits of fitting its
+machine alone. A ``truncated_feature`` block allocates one design array and
+builds its basis in cache-sized row tiles, so it holds one block-sized array,
+not three. An ``exact_gram`` fit keeps its basis at its design points, so the
+estimate's coefficients, :func:`predict_bar` and the plug-in variance read it
+instead of evaluating it again. The bits also depend on the BLAS thread count,
+which :func:`~dckrr.simlab.run_sweep` fixes at one; outside a sweep it is the
+caller's.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from dckrr.solver import MachineFit, Subsample, _check_finite, _fit_block, _predictions
+from dckrr.solver import Dataset, MachineFit, _fit_block, _predictions
 from dckrr.spectra import Spectrum, feature_matrix, null_basis
 
 __all__ = [
@@ -36,26 +39,6 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 512  # design rows per block of machines that fit_all fits together
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """A full sample of size N: design ``xs`` (N or N x d) and responses ``ys``."""
-
-    xs: NDArray[np.float64]
-    ys: NDArray[np.float64]
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.float64)
-        ys = np.asarray(self.ys, dtype=np.float64)
-        if xs.shape[0] != ys.shape[0] or ys.ndim != 1:
-            raise ValueError("xs and ys must share their first dimension")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-    @property
-    def N(self) -> int:
-        return self.xs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -122,10 +105,10 @@ def partition(data: Dataset, s: int, seed: int) -> Partition:
     )
 
 
-def subsample_for(data: Dataset, part: Partition, j: int) -> Subsample:
-    """Materialize machine ``j``'s subsample."""
+def subsample_for(data: Dataset, part: Partition, j: int) -> Dataset:
+    """Machine ``j``'s rows of the sample, as a ``Dataset`` of its own."""
     idx = part.assignment[j]
-    return Subsample(xs=data.xs[idx], ys=data.ys[idx])
+    return Dataset(xs=data.xs[idx], ys=data.ys[idx])
 
 
 def fit_all(
@@ -138,19 +121,18 @@ def fit_all(
 ) -> DncEstimate:
     """Fit every machine, in order, and average.
 
-    The sample is gathered and checked for non-finite values once. The
-    machines are then fitted serially, in blocks of ``max(1, 512 // n)``
-    machines, about 512 design rows: a block evaluates the basis once, and
-    each of its fits equals :func:`~dckrr.solver.krr_fit` on
-    :func:`subsample_for` that machine, bit for bit. A sweep runs its
-    replications on threads instead (see :func:`~dckrr.simlab.run_sweep`).
-    ``workers`` is accepted as ``None`` or 1 only, and any other value raises
-    ``ValueError``.
+    The machines' rows are gathered at once, machine ``j`` as row ``j``; the
+    :class:`Dataset` was checked for non-finite values when it was built. The
+    machines are fitted serially, in blocks of ``max(1, 512 // n)`` machines,
+    about 512 design rows: a block evaluates the basis once, and each of its
+    fits equals :func:`~dckrr.solver.krr_fit` on :func:`subsample_for` that
+    machine, bit for bit. A sweep runs its replications on threads instead
+    (see :func:`~dckrr.simlab.run_sweep`). ``workers`` is accepted as ``None``
+    or 1 only, and any other value raises ``ValueError``.
     """
     if workers not in (None, 1):
         raise ValueError(f"workers must be None or 1, got {workers!r}")
     xs, ys = data.xs[part.assignment], data.ys[part.assignment]
-    _check_finite(xs, ys)
     step = max(1, _BLOCK_ROWS // part.n)
     fits = [
         fit for j in range(0, part.s, step)
@@ -186,10 +168,10 @@ def xi_diagnostic(
     if lam <= 0:
         raise ValueError("lam must be positive")
     w = np.r_[np.ones(spec.null_dim), 1.0 / np.sqrt(1.0 + lam / spec.eigenvalues)]
+    xs = data.xs[part.assignment]
     out = np.empty(part.s)
     for j in range(part.s):
-        xs = data.xs[part.assignment[j]]
-        phi = np.column_stack([null_basis(spec, xs), feature_matrix(spec, xs)])
+        phi = np.column_stack([null_basis(spec, xs[j]), feature_matrix(spec, xs[j])])
         G = phi.T @ phi / phi.shape[0] - np.eye(phi.shape[1])
         G *= np.outer(w, w)
         out[j] = np.linalg.norm(G, 2)

@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-__all__ = ["RatePrescription", "prescribe", "rho_max", "leading_eigenvalue", "FAMILIES", "TASKS"]
+__all__ = ["RatePrescription", "prescribe", "leading_eigenvalue", "FAMILIES", "TASKS"]
 
 FAMILIES = ("spline", "additive", "gaussian", "thin_plate")
 TASKS = ("estimation", "testing")
@@ -145,8 +145,3 @@ def prescribe(family: str, m: int, d: int, N: int, task: str) -> RatePrescriptio
         lam=lam, s_max=max(1, math.floor(s_raw)), rate=rate,
         exponents=exps, warnings=tuple(warns),
     )
-
-
-def rho_max(family: str, m: int, d: int, N: int, task: str) -> float:
-    """The machine-count bound on the ``rho = log s / log N`` scale."""
-    return prescribe(family, m, d, N, task).rho_max

@@ -1,4 +1,5 @@
-"""Per-machine kernel ridge regression.
+"""Per-machine kernel ridge regression, and :class:`Dataset`, the one sample
+type, which is checked where it is built, so no later stage checks again.
 
 Two solve paths produce the same estimate on the truncated kernel
 ``R = sum_nu mu_nu phi_nu phi_nu``, so both need the spectrum's eigenfunctions:
@@ -33,20 +34,17 @@ from numpy.typing import NDArray
 
 from dckrr.spectra import Spectrum, feature_matrix, null_basis
 
-__all__ = ["SOLVE_PATHS", "Subsample", "MachineFit", "krr_fit", "predict", "smoother_trace"]
+__all__ = ["SOLVE_PATHS", "Dataset", "MachineFit", "krr_fit", "predict", "smoother_trace"]
 
 SOLVE_PATHS = ("exact_gram", "truncated_feature")
 
 
-def _check_finite(xs: NDArray[np.float64], ys: NDArray[np.float64]) -> None:
-    """Raise ``ValueError`` if the designs or responses hold a non-finite value."""
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("subsample contains non-finite values")
-
-
 @dataclass(frozen=True)
-class Subsample:
-    """The data handed to one machine: design ``xs`` and responses ``ys``."""
+class Dataset:
+    """A sample of ``N`` points: design ``xs`` (``N`` or ``N x d``) and
+    responses ``ys``. The full sample and one machine's rows of it are both
+    a ``Dataset``. It refuses an empty sample, ``ys`` that is not 1-D with one
+    entry per row of ``xs``, and a non-finite value in either array."""
 
     xs: NDArray[np.float64]
     ys: NDArray[np.float64]
@@ -54,17 +52,18 @@ class Subsample:
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=np.float64)
         ys = np.asarray(self.ys, dtype=np.float64)
-        n = xs.shape[0]
-        if n == 0:
-            raise ValueError("empty subsample")
-        if ys.shape != (n,):
-            raise ValueError(f"ys must have shape ({n},), got {ys.shape}")
-        _check_finite(xs, ys)
+        if xs.shape[0] == 0:
+            raise ValueError("empty sample")
+        if ys.shape != xs.shape[:1]:
+            raise ValueError(f"ys must be 1-D, one entry per row of xs, got shape {ys.shape}")
+        for name, a in (("xs", xs), ("ys", ys)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} contains non-finite values")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
     @property
-    def n(self) -> int:
+    def N(self) -> int:
         return self.xs.shape[0]
 
 
@@ -125,8 +124,8 @@ def _solve_spd(A: NDArray[np.float64], b: NDArray[np.float64]) -> NDArray[np.flo
     return scipy.linalg.lapack.dpotrs(_cholesky(A), b, lower=1)[0]
 
 
-def krr_fit(spec: Spectrum, sub: Subsample, lam: float, solve_path: str = "exact_gram") -> MachineFit:
-    """Fit kernel ridge regression on one subsample.
+def krr_fit(spec: Spectrum, sub: Dataset, lam: float, solve_path: str = "exact_gram") -> MachineFit:
+    """Fit kernel ridge regression on one machine's sample.
 
     Minimizes ``(1/n) sum (y_i - f(x_i))^2 + lam * |f|_H^2`` over
     ``f = <beta, t> + g`` with ``g`` in the (truncated) RKHS and ``t`` the
@@ -225,7 +224,7 @@ def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArr
         yield null @ fit.beta + R @ fit.alpha
 
 
-def smoother_trace(spec: Spectrum, sub: Subsample, lam: float) -> float:
+def smoother_trace(spec: Spectrum, sub: Dataset, lam: float) -> float:
     """Trace of the ridge smoother, ``trace(R_n (R_n + n*lam*I)^{-1})``.
 
     Lies in ``[0, n]``; tends to ``n`` as ``lam -> 0`` (when ``R_n`` has full
@@ -260,18 +259,18 @@ def _ridge_trace(G: NDArray[np.float64], lam: float) -> float:
     return float(np.sum(Li * (Li @ S)))
 
 
-def _fitted_and_scaled_basis(spec: Spectrum, fit: MachineFit, sub: Subsample):
-    """A fit's values at its own subsample, equal to ``predict(spec, fit,
-    sub.xs)``, and the scaled basis ``G = phi * sqrt(mu)`` there that
-    :func:`smoother_trace` reads. Both come from one basis ``F`` at
-    ``sub.xs``, an ``exact_gram`` fit's kept ``features``: its values are
+def _fitted_and_scaled_basis(spec: Spectrum, fit: MachineFit, xs: NDArray[np.float64]):
+    """A fit's values at its own design ``xs``, equal to ``predict(spec, fit,
+    xs)``, and the scaled basis ``G = phi * sqrt(mu)`` there that
+    :func:`smoother_trace` reads. Both come from one basis ``F`` at ``xs``,
+    an ``exact_gram`` fit's kept ``features``: its values are
     ``null @ beta + R_n @ alpha`` with ``R_n = (F * mu) @ F.T``, as
     :func:`predict` forms them, and a ``truncated_feature`` fit's are ``null
     @ beta + G @ theta``, with no ``n x n`` gram."""
-    null = null_basis(spec, sub.xs)
+    null = null_basis(spec, xs)
     if fit.solve_path == "exact_gram":
         fitted = null @ fit.beta + _anchor_gram(spec, fit.features) @ fit.alpha
         return fitted, fit.features * np.sqrt(spec.eigenvalues)
-    G = feature_matrix(spec, sub.xs)
+    G = feature_matrix(spec, xs)
     G *= np.sqrt(spec.eigenvalues)
     return null @ fit.beta + G @ fit.theta, G

@@ -127,7 +127,7 @@ def test_criterion_7_solver_oracle_equivalence():
         xs = rng.uniform(size=n)
         ys = 0.6 * np.sin(1.5 * np.pi * xs) + rng.standard_normal(n)
         lam = 10.0 ** rng.uniform(-4, -2)
-        sub = dnc.Subsample(xs=xs, ys=ys)
+        sub = dnc.Dataset(xs=xs, ys=ys)
         fit = krr_fit(spec, sub, lam, "exact_gram")
         # explicit-inverse oracle for the augmented KKT system
         R = gram_R(spec, xs, xs)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import typing
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -539,6 +540,18 @@ class TestRatesCommand:
         main(["rates", "--family", "spline", "--N", "4096", "--task", "testing"])
         out = capsys.readouterr().out
         assert "# exponents:" in out
+
+    def test_each_warning_is_printed_once(self, capsys):
+        # the additive dimension bound is broken: the warning is a "# warning:"
+        # line on stdout, and neither a UserWarning nor a stderr line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["rates", "--family", "additive", "--m", "2", "--d", "50",
+                         "--N", "64", "--task", "testing"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK and err == ""
+        assert [w for w in caught if issubclass(w.category, UserWarning)] == []
+        assert sum(line.startswith("# warning:") for line in out.splitlines()) == 1
 
     def test_invalid_parameters_exit_config(self, capsys):
         assert main(["rates", "--family", "thin_plate", "--m", "1", "--d", "2", "--N", "1024"]) == EXIT_CONFIG

@@ -147,15 +147,17 @@ class TestFitAll:
                 assert (a is None) == (b is None), name
                 assert a is None or (a.shape == b.shape and np.array_equal(a, b)), name
 
-    @pytest.mark.parametrize("bad", ["xs", "ys"])
-    def test_non_finite_data_is_rejected(self, bad):
-        data = _dataset(60)
+    @pytest.mark.parametrize("bad, row", [("xs", "used"), ("ys", "used"), ("xs", "dropped")])
+    def test_non_finite_data_is_rejected(self, bad, row):
+        # the sample is refused where it is built, a row that partition
+        # would drop included
+        data = _dataset(61)
+        part = partition(data, s=3, seed=0)
+        i = part.assignment[1, 7] if row == "used" else part.dropped[0]
         arrays = {"xs": data.xs.copy(), "ys": data.ys.copy()}
-        arrays[bad][17] = np.nan if bad == "xs" else np.inf
-        bad_data = Dataset(**arrays)
-        part = partition(bad_data, s=3, seed=0)
-        with pytest.raises(ValueError, match="subsample contains non-finite values"):
-            fit_all(periodic_sobolev(2, M=16), bad_data, part, lam=1e-3)
+        arrays[bad][i] = np.nan if bad == "xs" else np.inf
+        with pytest.raises(ValueError, match=f"{bad} contains non-finite values"):
+            Dataset(**arrays)
 
     def test_not_positive_definite_raises_linalg_error(self):
         # every point at x = 1/2, where the null function sqrt(12) (x - 1/2)

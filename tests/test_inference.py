@@ -239,7 +239,7 @@ class TestEstimateSigma2:
             sub = subsample_for(data, part, j)
             resid = sub.ys - predict(spec, fit, sub.xs)
             rss += float(resid @ resid)
-            dof += sub.n - smoother_trace(spec, sub, lam) - float(spec.null_dim)
+            dof += sub.N - smoother_trace(spec, sub, lam) - float(spec.null_dim)
         assert estimate_sigma2(est, data, part) == rss / dof
 
     @pytest.mark.parametrize("path, per_machine", [("exact_gram", 0), ("truncated_feature", 1)])
@@ -253,7 +253,7 @@ class TestEstimateSigma2:
             sub = subsample_for(data, part, j)
             resid = sub.ys - predict(spec, fit, sub.xs)
             rss += float(resid @ resid)
-            dof += sub.n - smoother_trace(spec, sub, lam) - float(spec.null_dim)
+            dof += sub.N - smoother_trace(spec, sub, lam) - float(spec.null_dim)
         calls, real = [], solver.feature_matrix
 
         def counting(spec_, X):

@@ -12,7 +12,6 @@ from dckrr.rates import (
     TASKS,
     leading_eigenvalue,
     prescribe,
-    rho_max,
 )
 
 MU1_SPLINE = (2 * math.pi) ** -4  # m = 2
@@ -38,18 +37,17 @@ class TestSplineExponents:
         assert rx.exponents["rate_N"] == pytest.approx(-4.0 / 9.0)
 
     def test_rho_max_value(self):
-        assert rho_max("spline", 2, 1, 4096, "estimation") == pytest.approx(
+        assert prescribe("spline", 2, 1, 4096, "estimation").rho_max == pytest.approx(
             math.log(93) / math.log(4096), rel=1e-12
         )
 
     def test_rho_max_is_the_prescriptions(self):
         rx = prescribe("spline", 2, 1, 4096, "testing")
-        assert rx.rho_max == rho_max("spline", 2, 1, 4096, "testing")
         assert rx.rho_max == math.log(rx.s_max) / math.log(4096)
 
     def test_rho_max_approaches_exponent(self):
-        tight = rho_max("spline", 2, 1, 10**12, "estimation")
-        loose = rho_max("spline", 2, 1, 4096, "estimation")
+        tight = prescribe("spline", 2, 1, 10**12, "estimation").rho_max
+        loose = prescribe("spline", 2, 1, 4096, "estimation").rho_max
         # the log factor washes out: rho_max creeps toward the 0.8 exponent
         assert loose < tight < 0.8
 

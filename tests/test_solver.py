@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dckrr.solver import (
+    Dataset,
     MachineFit,
-    Subsample,
     _fit_block,
     _solve_spd,
     krr_fit,
@@ -31,7 +31,7 @@ from dckrr.spectra import (
 
 
 def _sub(xs, ys):
-    return Subsample(xs=np.asarray(xs, dtype=float), ys=np.asarray(ys, dtype=float))
+    return Dataset(xs=np.asarray(xs, dtype=float), ys=np.asarray(ys, dtype=float))
 
 
 def _oracle_exact_gram(spec, xs, ys, lam):
@@ -246,8 +246,13 @@ class TestLinearityAndValidation:
 
     def test_input_validation(self):
         spec = periodic_sobolev(2, M=16)
-        with pytest.raises(ValueError):
-            Subsample(xs=np.array([0.1, 0.2]), ys=np.array([1.0]))
+        for xs, ys, fault in [
+            ([0.1, 0.2], [1.0], "one entry per row"),
+            ([0.1, 0.2], [[1.0], [2.0]], "one entry per row"),  # a 2-D ys
+            (np.zeros(0), np.zeros(0), "empty sample"),
+        ]:
+            with pytest.raises(ValueError, match=fault):
+                Dataset(xs=np.array(xs), ys=np.array(ys))
         with pytest.raises(ValueError):
             krr_fit(spec, _sub([0.1], [1.0]), lam=-1.0, solve_path="exact_gram")
         with pytest.raises(ValueError):

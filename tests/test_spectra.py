@@ -635,12 +635,12 @@ class TestSmoothingSpline:
     def test_exact_gram_matches_truncated_feature(self):
         # a single machine fitted both ways: the n x n KKT system with the
         # two-dimensional null space and the primal ridge in the M-term basis
-        from dckrr.solver import Subsample, krr_fit, predict
+        from dckrr.solver import Dataset, krr_fit, predict
 
         rng = np.random.default_rng(31)
         spec = smoothing_spline(2, M=256)
         xs = rng.uniform(size=50)
-        sub = Subsample(xs=xs, ys=0.6 * np.sin(1.5 * np.pi * xs) + rng.standard_normal(50))
+        sub = Dataset(xs=xs, ys=0.6 * np.sin(1.5 * np.pi * xs) + rng.standard_normal(50))
         f1 = krr_fit(spec, sub, lam=1e-4, solve_path="exact_gram")
         f2 = krr_fit(spec, sub, lam=1e-4, solve_path="truncated_feature")
         grid = (np.arange(512) + 0.5) / 512
