@@ -15,13 +15,19 @@ do, 0 if none does, and 2 if ``<ref>`` cannot be checked out.
 The list: the 18 sweep configs of the benchmark (``perfbench/workloads.py``,
 3 workloads x seeds 0..2 x rounds 0..1); plug-in ``sigma2`` cells of both
 models and an explicit-``lambda`` ``spline1d`` pair, each on both solve
-paths; an ``additive2d`` cell on a 20 x 20 grid; and ``diagnose`` with no
-config, with each family by name (with the ``xi`` diagnostic where the
-family has eigenfunctions), with the thin plate at ``d = 2, M = 2048`` and
-with the additive family at ``d = 2`` on an ``xi`` partition that drops
-rows (``s`` does not divide ``N``); and ``rates`` for each family of ``rates.FAMILIES`` and both tasks at a few
-``(m, d, N)``, among them an additive ``d`` past its dimension bound, the
-thin plate's nonpositive testing exponent, and a refused ``m``.
+paths; an ``additive2d`` cell on a 20 x 20 grid; two sweeps whose
+replications run on 2 threads (a ``spline1d`` pair of cells, and an
+``exact_gram`` plug-in ``additive2d`` cell); ``diagnose`` with no config,
+with each family by name (with the ``xi`` diagnostic where the family has
+eigenfunctions), with the thin plate at ``d = 2, M = 2048``, with the
+additive family at ``d = 2`` on an ``xi`` partition that drops rows (``s``
+does not divide ``N``), with the spline at ``m = 1`` (its cosine basis;
+no ``xi``, whose per-machine ``(M+1)^2`` Gram is too large at the levels
+that family needs) and with the Gaussian at ``d = 2, M = 32`` (its tensor
+pairs pruned to ``M``); and ``rates`` for each family of
+``rates.FAMILIES`` and both tasks at a few ``(m, d, N)``, among them an
+additive ``d`` past its dimension bound, the thin plate's nonpositive
+testing exponent, and a refused ``m``.
 
 ``<ref>`` is extracted with ``git archive`` into a temporary directory, so
 the repository's ``.git`` is left as it was.
@@ -87,6 +93,11 @@ def cases() -> dict[str, tuple[str, dict]]:
             cell, rho_list=[0.4, 0.75], solve_path=path,
             **{"lambda": {"source": "explicit", "value": 3e-6}}))
     out["additive2d-grid20"] = ("sweep", dict(cell, model="additive2d", rho_list=[0.3], grid_size=20))
+    out["spline1d-workers2"] = ("sweep", dict(
+        cell, rho_list=[0.2, 0.75], replications=6, workers=2))
+    out["additive2d-plugin-exact_gram-workers2"] = ("sweep", dict(
+        cell, model="additive2d", rho_list=[0.3], replications=4, workers=2,
+        sigma2={"mode": "plugin"}, solve_path="exact_gram"))
     out["diagnose-default"] = ("diagnose", {})
     for family, extra in FAMILIES.items():
         config = {"spectrum": {"family": family, **extra}}
@@ -95,6 +106,11 @@ def cases() -> dict[str, tuple[str, dict]]:
         "diagnose", {"spectrum": {"family": "thin_plate", "d": 2, "M": 2048}})
     out["diagnose-additive-d2-xi-N515-s4"] = (
         "diagnose", {"spectrum": {"family": "additive", "d": 2}, "xi": XI_DROPPING})
+    out["diagnose-spline-m1"] = (
+        "diagnose", {"spectrum": {"family": "spline", "m": 1}, "lambda_grid": [0.3, 0.1]})
+    out["diagnose-gaussian-d2-M32"] = (
+        "diagnose", {"spectrum": {"family": "gaussian", "d": 2, "M": 32},
+                     "lambda_grid": [0.01, 0.001]})
     for family, points in RATES.items():
         for m, d, N in points:
             for task in ("estimation", "testing"):

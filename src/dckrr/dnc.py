@@ -2,11 +2,12 @@
 
 ``partition`` deals a :class:`~dckrr.solver.Dataset` of ``N`` points into
 ``s`` machines of equal size ``n = floor(N/s)`` (the remainder is dropped and
-recorded), so a machine's data is some rows of the sample. ``fit_all``,
-:func:`xi_diagnostic` and the plug-in variance each gather every machine's
-rows at once, ``data.xs[part.assignment]``, and read machine ``j`` as row
-``j``. ``fit_all`` fits each machine independently, in machine order, a block
-of machines at a time, and averages them into a :class:`DncEstimate`. A block
+recorded), so a machine's data is some rows of the sample. ``fit_all`` and
+:func:`xi_diagnostic` each gather every machine's rows at once,
+``data.xs[part.assignment]``, and read machine ``j`` as row ``j``. ``fit_all``
+fits each machine independently, in machine order, a block of machines at a
+time, and averages them into a :class:`DncEstimate`, which keeps the gathered
+rows; the plug-in variance reads them there and gathers none of its own. A block
 shares one evaluation of the basis, and each fit has the bits of fitting its
 machine alone. A ``truncated_feature`` block allocates one design array and
 builds its basis in cache-sized row tiles, so it holds one block-sized array,
@@ -68,7 +69,9 @@ class DncEstimate:
     ``coeffs`` holds the Mercer coefficients ``c_nu = V(f_bar, phi_nu)`` of
     the finite eigenpairs and ``beta`` the averaged coefficients of the
     null-space functions ``null_basis(spec, .)``, which are ``V``-orthonormal
-    and orthogonal to every ``phi_nu``.
+    and orthogonal to every ``phi_nu``. ``xs`` (``(s, n)`` or ``(s, n, d)``)
+    and ``ys`` (``(s, n)``) are the rows the machines were fitted on, machine
+    ``j`` as row ``j``, read-only.
     """
 
     spec: Spectrum
@@ -76,6 +79,8 @@ class DncEstimate:
     fits: tuple[MachineFit, ...]
     beta: NDArray[np.float64]
     coeffs: NDArray[np.float64]
+    xs: NDArray[np.float64]
+    ys: NDArray[np.float64]
 
     @property
     def s(self) -> int:
@@ -121,8 +126,8 @@ def fit_all(
 ) -> DncEstimate:
     """Fit every machine, in order, and average.
 
-    The machines' rows are gathered at once, machine ``j`` as row ``j``; the
-    :class:`Dataset` was checked for non-finite values when it was built. The
+    The machines' rows are gathered at once, machine ``j`` as row ``j``, and
+    kept on the estimate; the :class:`Dataset` was checked when it was built. The
     machines are fitted serially, in blocks of ``max(1, 512 // n)`` machines,
     about 512 design rows: a block evaluates the basis once, and each of its
     fits equals :func:`~dckrr.solver.krr_fit` on :func:`subsample_for` that
@@ -133,6 +138,7 @@ def fit_all(
     if workers not in (None, 1):
         raise ValueError(f"workers must be None or 1, got {workers!r}")
     xs, ys = data.xs[part.assignment], data.ys[part.assignment]
+    xs.flags.writeable = ys.flags.writeable = False
     step = max(1, _BLOCK_ROWS // part.n)
     fits = [
         fit for j in range(0, part.s, step)
@@ -141,14 +147,14 @@ def fit_all(
     # ordered folds over the machines
     beta = sum((f.beta for f in fits), np.zeros(spec.null_dim)) / part.s
     coeffs = sum((f.mercer_coeffs(spec) for f in fits), np.zeros(spec.M)) / part.s
-    return DncEstimate(spec=spec, lam=lam, fits=tuple(fits), beta=beta, coeffs=coeffs)
+    return DncEstimate(spec=spec, lam=lam, fits=tuple(fits), beta=beta, coeffs=coeffs, xs=xs, ys=ys)
 
 
 def predict_bar(est: DncEstimate, X: NDArray[np.float64]) -> NDArray[np.float64]:
     """Evaluate the averaged estimate at new points (ordered fold over the
     machines, with the basis at ``X`` evaluated once)."""
     values = _predictions(est.spec, est.fits, X)
-    acc = next(values).astype(np.float64)
+    acc = next(values)
     for v in values:
         acc += v
     return acc / est.s

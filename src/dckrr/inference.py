@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dckrr.dnc import Dataset, DncEstimate, Partition
+from dckrr.dnc import DncEstimate
 from dckrr.solver import _fitted_and_scaled_basis, _ridge_trace
 from dckrr.spectra import spectral_sums
 
@@ -102,15 +102,15 @@ def test_statistic(
     )
 
 
-def estimate_sigma2(est: DncEstimate, data: Dataset, part: Partition) -> float:
+def estimate_sigma2(est: DncEstimate) -> float:
     """Pooled residual variance estimate.
 
     ``sigma2_hat = sum_j RSS_j / sum_j (n - df_j)`` with per-machine degrees
     of freedom ``df_j = trace of the ridge smoother`` (plus one for each
     unpenalized null-space function). Both solve paths fit the same estimator,
-    so either path's fits serve. ``est`` must be fitted on ``(data, part)``;
-    the machines' rows are gathered once, as :func:`~dckrr.dnc.fit_all`
-    gathers them. Each machine's basis at its design is evaluated at most once
+    so either path's fits serve. Machine ``j``'s residuals are taken on the
+    rows it was fitted on, ``est.xs[j]`` and ``est.ys[j]``. Each machine's
+    basis at its design is evaluated at most once
     (an ``exact_gram`` fit keeps it) and gives both its fitted values and its
     trace, with the float operations of :func:`~dckrr.solver.predict` and
     :func:`~dckrr.solver.smoother_trace`; the trace is read from a
@@ -120,15 +120,14 @@ def estimate_sigma2(est: DncEstimate, data: Dataset, part: Partition) -> float:
     raise ``LinAlgError``: a numerical failure, which a sweep counts.
     """
     spec, lam = est.spec, est.lam
-    xs, ys = data.xs[part.assignment], data.ys[part.assignment]
-    rss = 0.0
-    dof = 0.0
+    n = est.ys.shape[1]
+    rss, dof = 0.0, 0.0
     extra = float(spec.null_dim)
-    for j, fit in enumerate(est.fits):
-        fitted, G = _fitted_and_scaled_basis(spec, fit, xs[j])
-        resid = ys[j] - fitted
+    for fit, xs, ys in zip(est.fits, est.xs, est.ys):
+        fitted, G = _fitted_and_scaled_basis(spec, fit, xs)
+        resid = ys - fitted
         rss += float(resid @ resid)
-        dof += part.n - _ridge_trace(G, lam) - extra
+        dof += n - _ridge_trace(G, lam) - extra
     if dof <= 0:
         raise np.linalg.LinAlgError("nonpositive residual degrees of freedom")
     return rss / dof

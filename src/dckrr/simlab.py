@@ -36,7 +36,7 @@ from numpy.typing import NDArray
 from dckrr import dnc, rates
 from dckrr.inference import estimate_sigma2, test_statistic
 from dckrr.solver import SOLVE_PATHS
-from dckrr.spectra import Spectrum, TruncationError, _as_points, spectrum_for
+from dckrr.spectra import Spectrum, _as_points, spectrum_for
 
 __all__ = [
     "MODELS",
@@ -344,7 +344,7 @@ def _run_replication(cfg: SweepConfig, N: int, s: int, lam: float, spec: Spectru
     est = dnc.fit_all(spec, data, part, lam, cfg.solve_path)
     mse = mse_of_estimate(est, cfg.model, cfg.c, cfg.grid_size)
     if cfg.sigma2_mode == "plugin":
-        sigma2 = estimate_sigma2(est, data, part)
+        sigma2 = estimate_sigma2(est)
     else:
         sigma2 = cfg.sigma2_value
     report = test_statistic(est, N=part.N_effective, sigma2=sigma2, alpha=cfg.alpha)
@@ -419,7 +419,7 @@ def _run_cell(cfg: SweepConfig, N: int, rho: float) -> CellResult:
     def one(seed):
         try:
             return _run_replication(cfg, N, s, lam, spec, seed)
-        except (np.linalg.LinAlgError, TruncationError, FloatingPointError) as exc:
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
             return exc  # a numerical failure: recorded, not fatal
 
     if cfg.workers > 1:
@@ -464,10 +464,10 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     Per cell: ``s = max(1, round(N^rho))`` (half-up), ``n = floor(N/s)``;
     replication ``r`` uses seed ``base_seed + r``. A replication that raises
     a numerical failure, ``LinAlgError`` (a fit that is not positive
-    definite, or residual degrees of freedom that are not positive),
-    :class:`~dckrr.spectra.TruncationError` or ``FloatingPointError``, is
-    counted and warned of; a cell with more than 10% failures raises
-    :class:`SweepError` from the first failure in replication order, whose
+    definite, or residual degrees of freedom that are not positive) or
+    ``FloatingPointError``, is counted and warned of; a cell with more than
+    10% failures raises :class:`SweepError` from the first failure in
+    replication order, whose
     type and message it states. A cell whose ``n`` is below the null space's
     dimension raises :class:`SweepError` before any replication. Any other
     exception, a ``ValueError`` or ``RuntimeError`` included, is a

@@ -44,14 +44,15 @@ class Dataset:
     """A sample of ``N`` points: design ``xs`` (``N`` or ``N x d``) and
     responses ``ys``. The full sample and one machine's rows of it are both
     a ``Dataset``. It refuses an empty sample, ``ys`` that is not 1-D with one
-    entry per row of ``xs``, and a non-finite value in either array."""
+    entry per row of ``xs``, and a non-finite value in either array, and keeps
+    read-only copies of both, out of reach of the caller's later writes."""
 
     xs: NDArray[np.float64]
     ys: NDArray[np.float64]
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.float64)
-        ys = np.asarray(self.ys, dtype=np.float64)
+        xs = np.array(self.xs, dtype=np.float64)
+        ys = np.array(self.ys, dtype=np.float64)
         if xs.shape[0] == 0:
             raise ValueError("empty sample")
         if ys.shape != xs.shape[:1]:
@@ -59,8 +60,8 @@ class Dataset:
         for name, a in (("xs", xs), ("ys", ys)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} contains non-finite values")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def N(self) -> int:
@@ -73,18 +74,16 @@ class MachineFit:
 
     ``beta`` holds the coefficients of the unpenalized null-space functions
     ``t = null_basis(spec, .)``, the constant first. For the ``exact_gram``
-    path, ``anchors`` are the training points and ``alpha`` the representer
-    coefficients; ``f = <beta, t> + sum_i alpha_i R(x_i, .)``. For the
-    ``truncated_feature`` path, ``theta`` holds coefficients in the scaled
-    basis ``sqrt(mu_nu) phi_nu``. An ``exact_gram`` fit keeps ``features =
-    feature_matrix(spec, anchors)``, which its coefficients, predictions and
-    residuals read instead of evaluating the basis again.
+    path, ``alpha`` holds the representer coefficients of the training points
+    ``x_i``, ``f = <beta, t> + sum_i alpha_i R(x_i, .)``, and ``features =
+    feature_matrix(spec, x)`` the basis there, which the fit's coefficients,
+    predictions and residuals read; the points and ``lam`` are kept once, on
+    :class:`~dckrr.dnc.DncEstimate`. For the ``truncated_feature`` path,
+    ``theta`` holds coefficients in the scaled basis ``sqrt(mu_nu) phi_nu``.
     """
 
-    lam: float
     solve_path: str
     beta: NDArray[np.float64]
-    anchors: NDArray[np.float64] | None = None
     alpha: NDArray[np.float64] | None = None
     theta: NDArray[np.float64] | None = field(default=None, repr=False)
     features: NDArray[np.float64] | None = field(default=None, repr=False)
@@ -173,10 +172,7 @@ def _fit_block(
                 alpha, beta = sol[:n], sol[n:]
             else:
                 alpha, beta = _solve_spd(A, ys[j]), np.zeros(0)
-            fits.append(MachineFit(
-                lam=lam, solve_path=solve_path, beta=beta,
-                anchors=xs[j], alpha=alpha, features=F[j],
-            ))
+            fits.append(MachineFit(solve_path=solve_path, beta=beta, alpha=alpha, features=F[j]))
         return fits
     X = np.empty((b, n, q + spec.M))
     X[..., :q] = null_basis(spec, pts)
@@ -187,7 +183,7 @@ def _fit_block(
         A = X[j].T @ X[j]
         A.flat[penalized] += n * lam
         sol = _solve_spd(A, X[j].T @ ys[j])
-        fits.append(MachineFit(lam=lam, solve_path=solve_path, beta=sol[:q], theta=sol[q:]))
+        fits.append(MachineFit(solve_path=solve_path, beta=sol[:q], theta=sol[q:]))
     return fits
 
 
@@ -199,27 +195,25 @@ def predict(spec: Spectrum, fit: MachineFit, X: NDArray[np.float64]) -> NDArray[
 def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArray[np.float64]]:
     """Each fit's values at ``X``, in order, with the basis at ``X`` evaluated once.
 
-    The fits share one solve path, as one fit or the fits of one
-    :func:`~dckrr.dnc.fit_all` do, and only the scaled basis it multiplies
-    by is built, in place: ``phi * sqrt(mu)`` for ``truncated_feature`` and
-    ``phi * mu`` (the left factor of :func:`~dckrr.spectra.gram_R`) for
-    ``exact_gram``, whose right factor is the fit's kept ``features``. The
-    ``exact_gram`` cross-grams ``(len(X), n)`` are written into one buffer
-    that every fit with ``n`` anchors reuses; each yielded array is new. Each
-    fit's values are bit-identical to evaluating it alone.
+    The fits share one solve path and one machine size ``n``, as one fit or
+    the fits of one :func:`~dckrr.dnc.fit_all` do, and only the scaled basis
+    it multiplies by is built, in place: ``phi * sqrt(mu)`` for
+    ``truncated_feature`` and ``phi * mu`` (the left factor of
+    :func:`~dckrr.spectra.gram_R`) for ``exact_gram``, whose right factor is
+    the fit's kept ``features``. The ``exact_gram`` cross-grams ``(len(X),
+    n)`` are written into one buffer that every fit reuses; each yielded
+    array is new. Each fit's values are bit-identical to evaluating it alone.
     """
     X = np.asarray(X, dtype=np.float64)
     null = null_basis(spec, X)
     exact = fits[0].solve_path == "exact_gram"
     F = feature_matrix(spec, X)
     F *= spec.eigenvalues if exact else np.sqrt(spec.eigenvalues)
-    R = None  # the reused exact_gram cross-gram
+    if not exact:
+        yield from (null @ fit.beta + F @ fit.theta for fit in fits)
+        return
+    R = np.empty((F.shape[0], fits[0].features.shape[0]))  # the reused cross-gram
     for fit in fits:
-        if not exact:
-            yield null @ fit.beta + F @ fit.theta
-            continue
-        if R is None or R.shape[1] != fit.features.shape[0]:
-            R = np.empty((F.shape[0], fit.features.shape[0]))
         np.matmul(F, fit.features.T, out=R)
         yield null @ fit.beta + R @ fit.alpha
 

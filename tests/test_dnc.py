@@ -114,6 +114,23 @@ class TestFitAll:
         stacked = np.stack([predict(spec, f, grid) for f in est.fits])
         np.testing.assert_allclose(predict_bar(est, grid), stacked.mean(axis=0), atol=1e-12)
 
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_estimate_keeps_the_rows_it_was_fitted_on(self, d, path):
+        # machine j's rows, row j; 3 points dropped by the partition
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(size=(63, d)) if d > 1 else rng.uniform(size=63)
+        data = Dataset(xs=xs, ys=rng.standard_normal(63))
+        spec = additive(2, 2, M=40) if d > 1 else periodic_sobolev(2, M=32)
+        part = partition(data, s=4, seed=8)
+        est = fit_all(spec, data, part, lam=1e-3, solve_path=path)
+        assert est.xs.shape == part.assignment.shape + xs.shape[1:]
+        assert np.array_equal(est.xs, data.xs[part.assignment])
+        assert np.array_equal(est.ys, data.ys[part.assignment])
+        for name in ("xs", "ys"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(est, name)[0, 0] = 0.0
+
     @pytest.mark.parametrize("workers", [0, 2, 4])
     def test_workers_other_than_one_are_rejected(self, workers):
         # fits run serially; workers=None and workers=1 are the same call
@@ -141,8 +158,8 @@ class TestFitAll:
         assert est.s == s
         for j, fit in enumerate(est.fits):
             lone = krr_fit(spec, subsample_for(data, part, j), lam=1e-3, solve_path=path)
-            assert (fit.lam, fit.solve_path) == (lone.lam, lone.solve_path)
-            for name in ("beta", "anchors", "alpha", "theta", "features"):
+            assert fit.solve_path == lone.solve_path
+            for name in ("beta", "alpha", "theta", "features"):
                 a, b = getattr(fit, name), getattr(lone, name)
                 assert (a is None) == (b is None), name
                 assert a is None or (a.shape == b.shape and np.array_equal(a, b)), name
@@ -158,6 +175,26 @@ class TestFitAll:
         arrays[bad][i] = np.nan if bad == "xs" else np.inf
         with pytest.raises(ValueError, match=f"{bad} contains non-finite values"):
             Dataset(**arrays)
+
+    def test_dataset_owns_read_only_copies(self):
+        # a value written into the caller's arrays afterwards reaches neither
+        # the sample nor its fit, and the sample's own arrays refuse writes
+        rng = np.random.default_rng(3)
+        xs, ys = rng.uniform(size=60), rng.standard_normal(60)
+        data = Dataset(xs=xs, ys=ys)
+        spec = periodic_sobolev(2, M=32)
+        part = partition(data, s=3, seed=3)
+        before = fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature")
+        saved = data.xs.copy(), data.ys.copy()
+        xs[part.assignment[1, 2]] = np.nan
+        ys[part.assignment[0, 0]] = np.nan
+        assert np.array_equal(data.xs, saved[0]) and np.array_equal(data.ys, saved[1])
+        after = fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature")
+        assert np.all(np.isfinite(after.coeffs))
+        assert np.array_equal(after.coeffs, before.coeffs) and np.array_equal(after.beta, before.beta)
+        for name in ("xs", "ys"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(data, name)[0] = 0.0
 
     def test_not_positive_definite_raises_linalg_error(self):
         # every point at x = 1/2, where the null function sqrt(12) (x - 1/2)
@@ -192,12 +229,12 @@ class TestFitAll:
         np.testing.assert_allclose(series, predict_bar(est, grid), atol=1e-10)
 
 
-def _lone_predict(spec, fit, X):
-    """One machine evaluated on its own: the reference form of ``predict``,
-    with the basis at ``X`` built for this machine alone."""
+def _lone_predict(spec, fit, xs, X):
+    """One machine, fitted on ``xs``, evaluated on its own: the reference form
+    of ``predict``, with the basis at ``X`` built for this machine alone."""
     null = null_basis(spec, X) @ fit.beta
     if fit.solve_path == "exact_gram":
-        return null + gram_R(spec, X, fit.anchors) @ fit.alpha
+        return null + gram_R(spec, X, xs) @ fit.alpha
     psi = feature_matrix(spec, X) * np.sqrt(spec.eigenvalues)
     return null + psi @ fit.theta
 
@@ -231,10 +268,11 @@ class TestPredictBar:
             predict_bar(est, grid), sum(predict(spec, f, grid) for f in est.fits) / est.s
         )
         assert np.array_equal(
-            predict_bar(est, grid), sum(_lone_predict(spec, f, grid) for f in est.fits) / est.s
+            predict_bar(est, grid),
+            sum(_lone_predict(spec, f, xs, grid) for f, xs in zip(est.fits, est.xs)) / est.s,
         )
-        for f in est.fits:
-            assert np.array_equal(predict(spec, f, grid), _lone_predict(spec, f, grid))
+        for f, xs in zip(est.fits, est.xs):
+            assert np.array_equal(predict(spec, f, grid), _lone_predict(spec, f, xs, grid))
 
     @pytest.mark.parametrize("make_spec, d", [
         (lambda: additive(2, 2, M=40), 2),
@@ -260,9 +298,9 @@ class TestPredictBar:
         spec, est, _ = self._fit(case)
         mu = spec.eigenvalues
         per_machine = [
-            mu * (feature_matrix(spec, f.anchors).T @ f.alpha) if f.solve_path == "exact_gram"
+            mu * (feature_matrix(spec, xs).T @ f.alpha) if f.solve_path == "exact_gram"
             else f.theta * np.sqrt(mu)
-            for f in est.fits
+            for f, xs in zip(est.fits, est.xs)
         ]
         assert np.array_equal(est.coeffs, sum(per_machine, np.zeros(spec.M)) / est.s)
 

@@ -84,7 +84,7 @@ class TestNormBreakdown:
             for l in range(s):
                 h += float(
                     est.fits[j].alpha
-                    @ gram_R(spec, est.fits[j].anchors, est.fits[l].anchors)
+                    @ gram_R(spec, est.xs[j], est.xs[l])
                     @ est.fits[l].alpha
                 )
         assert nb.h_part == pytest.approx(h / s**2, rel=1e-10)
@@ -192,7 +192,7 @@ class TestEstimateSigma2:
     def test_near_unit_variance_on_pure_noise(self):
         spec, data, part, est = _estimate(n=1000, s=4, lam=1e-3, seed=3,
                                           solve_path="exact_gram", c=0.0)
-        s2 = estimate_sigma2(est, data, part)
+        s2 = estimate_sigma2(est)
         assert s2 == pytest.approx(1.0, abs=0.15)
 
     @pytest.mark.parametrize("spec", [periodic_sobolev(2, M=64), smoothing_spline(2, M=64)],
@@ -205,7 +205,7 @@ class TestEstimateSigma2:
         data = Dataset(xs=xs, ys=0.6 * np.sin(1.5 * np.pi * xs) + rng.standard_normal(240))
         part = partition(data, s=4, seed=seed)
         gram, feature = (
-            estimate_sigma2(fit_all(spec, data, part, lam=lam, solve_path=path), data, part)
+            estimate_sigma2(fit_all(spec, data, part, lam=lam, solve_path=path))
             for path in ("exact_gram", "truncated_feature")
         )
         assert feature == pytest.approx(gram, rel=1e-12)
@@ -215,7 +215,7 @@ class TestEstimateSigma2:
         # each: a LinAlgError, which a sweep counts
         spec, data, part, est = _estimate(n=8, s=8)
         with pytest.raises(np.linalg.LinAlgError, match="nonpositive residual degrees of freedom"):
-            estimate_sigma2(est, data, part)
+            estimate_sigma2(est)
 
     @pytest.mark.parametrize("path", ["exact_gram", "truncated_feature"])
     @pytest.mark.parametrize("make_spec, d", [
@@ -240,7 +240,7 @@ class TestEstimateSigma2:
             resid = sub.ys - predict(spec, fit, sub.xs)
             rss += float(resid @ resid)
             dof += sub.N - smoother_trace(spec, sub, lam) - float(spec.null_dim)
-        assert estimate_sigma2(est, data, part) == rss / dof
+        assert estimate_sigma2(est) == rss / dof
 
     @pytest.mark.parametrize("path, per_machine", [("exact_gram", 0), ("truncated_feature", 1)])
     def test_evaluates_each_machines_basis_at_most_once(self, path, per_machine, monkeypatch):
@@ -262,7 +262,7 @@ class TestEstimateSigma2:
 
         for module in (spectra, solver):
             monkeypatch.setattr(module, "feature_matrix", counting)
-        assert estimate_sigma2(est, data, part) == rss / dof
+        assert estimate_sigma2(est) == rss / dof
         assert calls == [(part.n,)] * (per_machine * part.s)
 
     def test_forms_no_n_by_n_gram(self):
@@ -275,7 +275,7 @@ class TestEstimateSigma2:
         est = fit_all(spec, data, part, lam=lam, solve_path="truncated_feature")
         tracemalloc.start()
         try:
-            estimate_sigma2(est, data, part)
+            estimate_sigma2(est)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -288,6 +288,20 @@ class TestRunSweep:
             run_sweep(cfg)
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_truncation_error_in_a_replication_propagates_uncounted(self, monkeypatch, workers):
+        # the cell's spectrum already passed the truncation check a
+        # replication repeats, so one raised there is a bug
+        def unresolved(cfg, N, s, lam, spec, seed):
+            raise spectra.TruncationError("synthetic truncation")
+
+        monkeypatch.setattr(simlab, "_run_replication", unresolved)
+        cfg = SweepConfig(N_list=(64,), rho_list=(0.3,), replications=4, workers=workers)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(spectra.TruncationError, match="synthetic truncation"):
+                run_sweep(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_value_error_in_a_stage_propagates_uncounted(self, monkeypatch, workers):
         # a shape bug raises ValueError, which is not a numerical failure
         calls = []
