@@ -22,9 +22,11 @@ with each family by name (with the ``xi`` diagnostic where the family has
 eigenfunctions), with the thin plate at ``d = 2, M = 2048``, with the
 additive family at ``d = 2`` on an ``xi`` partition that drops rows (``s``
 does not divide ``N``), with the spline at ``m = 1`` (its cosine basis;
-no ``xi``, whose per-machine ``(M+1)^2`` Gram is too large at the levels
-that family needs) and with the Gaussian at ``d = 2, M = 32`` (its tensor
-pairs pruned to ``M``); and ``rates`` for each family of
+no ``xi``, whose per-machine ``(M+1)^2`` Gram is past ``diagnose``'s cap at
+the levels that family needs), with the Gaussian at ``d = 2, M = 32`` (its
+tensor pairs pruned to ``M``), and with the additive family and the Gaussian
+at ``d = 3`` (their bases in three coordinates, reached by the kernel
+bound; no ``xi``, which takes ``d <= 2``); and ``rates`` for each family of
 ``rates.FAMILIES`` and both tasks at a few ``(m, d, N)``, among them an
 additive ``d`` past its dimension bound, the thin plate's nonpositive
 testing exponent, and a refused ``m``.
@@ -111,6 +113,9 @@ def cases() -> dict[str, tuple[str, dict]]:
     out["diagnose-gaussian-d2-M32"] = (
         "diagnose", {"spectrum": {"family": "gaussian", "d": 2, "M": 32},
                      "lambda_grid": [0.01, 0.001]})
+    for family in ("additive", "gaussian"):
+        out[f"diagnose-{family}-d3"] = (
+            "diagnose", {"spectrum": {"family": family, "d": 3}, "lambda_grid": [0.01, 0.001]})
     for family, points in RATES.items():
         for m, d, N in points:
             for task in ("estimation", "testing"):

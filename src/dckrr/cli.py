@@ -98,6 +98,7 @@ PRESETS = {
     for name, model in (("spline-fig1", "spline1d"), ("additive-fig2", "additive2d"))
 }
 PAPER_SCALE_REPS = {"spline-fig1": 100, "additive-fig2": 100}
+XI_BASIS_CAP = 2048  # null_dim + M of the xi diagnostic's dense per-machine Gram: 32 MB
 
 
 def _load_config(path: str | None, preset: str | None = None, paper_scale: bool = False):
@@ -265,16 +266,20 @@ class DiagnoseConfig:
 def _diagnostics(cfg: DiagnoseConfig, xi: bool) -> dict:
     """The report of ``dckrr diagnose``, with the ``xi`` summary when ``xi``.
     A spectrum the family cannot build, or an ``xi`` diagnostic it does not
-    support, is a config error raised before any diagnostic runs. The
-    spectrum is the family's at the finest ``lambda`` of the grid."""
+    support (no eigenfunctions, ``d > 2``, or a basis past ``XI_BASIS_CAP``),
+    is a config error raised before any diagnostic runs. The spectrum is the
+    family's at the finest ``lambda`` of the grid."""
     try:
         spec = spectrum_for(cfg.spectrum_family, cfg.spectrum_m, cfg.spectrum_d,
                             min(cfg.lambda_grid), cfg.spectrum_M, cfg.spectrum_scale)
     except ValueError as exc:  # the family's own limits, TruncationError included
         raise ConfigError(f"spectrum: {exc}") from exc
-    if xi and (not spec.has_eigenfunctions or spec.d > 2):  # designs come from 1-D or 2-D models
+    if xi and (spec.basis is None or spec.d > 2):  # designs come from 1-D or 2-D models
         raise ConfigError(f"unsupported: xi diagnostic unavailable for {spec.family} "
                           f"with d={spec.d}")
+    if xi and spec.null_dim + spec.M > XI_BASIS_CAP:
+        raise ConfigError(f"xi: {spec.family} at M={spec.M} has null_dim + M = "
+                          f"{spec.null_dim + spec.M}, past the cap {XI_BASIS_CAP}")
     report: dict = {
         "family": spec.family,
         "m": spec.m,
@@ -285,7 +290,7 @@ def _diagnostics(cfg: DiagnoseConfig, xi: bool) -> dict:
             zip(map(_fmt, cfg.lambda_grid), map(float, check_prop31_ratio(spec, cfg.lambda_grid)))
         ),
     }
-    if spec.has_eigenfunctions:
+    if spec.basis is not None:
         lam0 = cfg.lambda_grid[0]
         grid = (np.arange(256) + 0.5) / 256
         pts = grid.reshape(-1, 1) if spec.d == 1 else np.column_stack([grid] * spec.d)

@@ -76,14 +76,17 @@ def test_statistic(
 ) -> TestReport:
     """Wald-type test of the global null ``f = 0`` at level ``alpha``.
 
-    ``N`` is the effective sample size (``s * n``). The statistic is the
-    embedded squared norm of the averaged estimate; its null center is
-    ``sigma^2 * h_inv / N`` and its null scale ``sigma(N) / N^2`` with
-    ``sigma^2(N) = 2 sigma^4 N (N-1) h_inv2``. Rejects when ``|z|`` exceeds
-    the two-sided normal quantile.
+    ``N`` is the effective sample size ``s * n`` (``est.ys.size``); any
+    other, which would mis-centre the test, raises ``ValueError``. The
+    statistic is the embedded squared norm of the averaged estimate; its null
+    center is ``sigma^2 * h_inv / N`` and its null scale ``sigma(N) / N^2``
+    with ``sigma^2(N) = 2 sigma^4 N (N-1) h_inv2``. Rejects when ``|z|``
+    exceeds the two-sided normal quantile.
     """
     if N < 2:
         raise ValueError("test requires N >= 2")
+    if N != est.ys.size:
+        raise ValueError(f"N={N} is not the estimate's s * n = {est.ys.size}")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     if not 0.0 < alpha < 1.0:

@@ -1,8 +1,8 @@
 """Mercer spectra for the supported kernel families.
 
-A :class:`Spectrum` bundles the eigenvalue sequence (truncated at level M)
-of a kernel together with evaluators for the eigenfunctions and the two
-kernels built from them:
+A :class:`Spectrum` is a kernel's eigenvalues (truncated at level M), their
+bounds and the builder of their eigenfunctions, which the thin plate lacks.
+The evaluators read every family through these, as do the two kernels:
 
 * ``R`` — the reproducing kernel, ``R(x, y) = sum_nu mu_nu phi_nu(x) phi_nu(y)``;
 * ``K`` — the inference kernel, ``K(x, y) = sum_nu phi_nu(x) phi_nu(y) / (1 + lam/mu_nu)``.
@@ -16,14 +16,11 @@ The basis is read one way. The finite eigenfunctions at points ``X`` are the
 columns of :func:`feature_matrix`, column ``j`` going with
 ``spec.eigenvalues[j]``. The unpenalized null space, the functions with
 infinite eigenvalue, is the ``spec.null_dim`` columns of :func:`null_basis`:
-the constant for periodic Sobolev and its additive extension
-(``null_dim = 1``), the polynomials of degree ``< m`` for the smoothing-spline
-family ``W^m[0,1]`` (``null_dim = m``), and nothing for the rest. The null
-space never appears in the stored eigenvalue array; each of its functions
-contributes exactly 1 to each spectral sum and ``t(x) t(y)`` to ``K``, and
-they are fitted without penalty downstream.
+the polynomials of degree ``< null_dim``. It never appears in the stored
+eigenvalue array; each of its functions contributes exactly 1 to each
+spectral sum and ``t(x) t(y)`` to ``K``, and is fitted without penalty.
 
-Each constructor also sets the family's bounds ``tail`` and ``sup_sq`` (see
+Each constructor sets the family's ``tail``, ``sup_sq`` and ``basis`` (see
 :class:`Spectrum`); :func:`spectrum_for` builds a family by its config name.
 """
 
@@ -31,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,7 +77,7 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """A truncated Mercer spectrum.
+    """A truncated Mercer spectrum: eigenvalues, bounds and basis builder.
 
     Attributes
     ----------
@@ -90,8 +88,6 @@ class Spectrum:
         Smoothness order (unused for ``gaussian_rkhs``).
     d:
         Input dimension.
-    scale:
-        Bandwidth parameter of the Gaussian kernel (ignored elsewhere).
     eigenvalues:
         Finite eigenvalues ``mu_1 >= mu_2 >= ... > 0``; eigenfunction
         ``j`` is column ``j`` of :func:`feature_matrix`. The null space is
@@ -107,19 +103,22 @@ class Spectrum:
         Bound on ``phi(x)^2`` over ``[0, 1]^d`` and the whole basis, null
         space included, so that ``K(x, x) <= sup_sq * h_inv``; ``None`` for
         the Gaussian (no uniform bound) and the thin-plate spectrum.
-    has_eigenfunctions:
-        Whether eigenfunction evaluation is available.
+    basis:
+        ``basis(pts, out)`` writes the finite eigenfunctions at the ``(...,
+        d)`` points ``pts`` into ``out`` (``pts.shape[:-1] + (M,)``) and
+        returns it (see :func:`feature_matrix`); a module-level function or a
+        ``functools.partial`` of one, so a spectrum pickles, and not compared
+        by ``==``. ``None`` for the thin plate, which has no eigenfunctions.
     """
 
     family: str
     m: int
     d: int
-    scale: float
     eigenvalues: NDArray[np.float64]
     null_dim: int
     tail: float
     sup_sq: float | None
-    has_eigenfunctions: bool
+    basis: Callable[[NDArray[np.float64], NDArray[np.float64]], NDArray[np.float64]] | None
 
     @property
     def M(self) -> int:
@@ -134,11 +133,9 @@ class Spectrum:
         if not isinstance(other, Spectrum):
             return NotImplemented
         return (
-            (self.family, self.m, self.d, self.scale, self.null_dim, self.tail, self.sup_sq)
-            == (other.family, other.m, other.d, other.scale, other.null_dim, other.tail,
-                other.sup_sq)
-            and self.eigenvalues.shape == other.eigenvalues.shape
-            and bool(np.all(self.eigenvalues == other.eigenvalues))
+            (self.family, self.m, self.d, self.null_dim, self.tail, self.sup_sq)
+            == (other.family, other.m, other.d, other.null_dim, other.tail, other.sup_sq)
+            and np.array_equal(self.eigenvalues, other.eigenvalues)
         )
 
 
@@ -199,16 +196,15 @@ def truncation_level(m: int, lam: float, d: int = 1) -> int:
 
 def periodic_sobolev(m: int, M: int = M_DEFAULT) -> Spectrum:
     """Periodic Sobolev spectrum of order ``m`` on [0, 1]: :func:`additive`
-    with ``d = 1`` under its own family name, whose :func:`feature_matrix`
-    builds the basis in row tiles without the additive family's search for
-    repeated coordinates.
+    with ``d = 1`` under its own family name, whose basis is built in row
+    tiles without the additive family's search for repeated coordinates.
 
     Finite eigenpairs: columns ``2k - 2`` and ``2k - 1`` of
     :func:`feature_matrix` are ``sqrt(2) sin(2*pi*k*x)`` and ``sqrt(2)
     cos(2*pi*k*x)``, both with eigenvalue ``(2*pi*k)^(-2m)``; the constant
     is the null space.
     """
-    return replace(additive(m, 1, M), family="periodic_sobolev")
+    return replace(additive(m, 1, M), family="periodic_sobolev", basis=functools.partial(_periodic_phi, M))
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,12 +282,11 @@ def smoothing_spline(m: int, M: int = M_DEFAULT) -> Spectrum:
         family="smoothing_spline",
         m=m,
         d=1,
-        scale=0.0,
         eigenvalues=_spline_freqs(m, M) ** (-2.0 * m),
         null_dim=m,
         tail=np.pi ** (-2 * m) * float(M) ** (1 - 2 * m) / (2 * m - 1),
         sup_sq=2.0 if m == 1 else 4.0,
-        has_eigenfunctions=True,
+        basis=functools.partial(_spline_phi, m, M),
     )
 
 
@@ -326,13 +321,12 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
         family="additive",
         m=m,
         d=d,
-        scale=0.0,
         eigenvalues=eigenvalues,
         null_dim=1,
         # each component's tail past its last pair, bounded by the integral
         tail=2.0 * d * (2.0 * np.pi) ** (-2 * m) * float(pairs) ** (1 - 2 * m) / (2 * m - 1),
         sup_sq=2.0,
-        has_eigenfunctions=True,
+        basis=_additive_phi,
     )
 
 
@@ -409,12 +403,11 @@ def gaussian_rkhs(d: int = 1, scale: float = 1.0, M: int = M_CAP) -> Spectrum:
         family="gaussian_rkhs",
         m=0,
         d=d,
-        scale=float(scale),
         eigenvalues=mu,
         null_dim=0,
         tail=max(0.0, 1.0 - float(np.sum(mu))),
         sup_sq=None,
-        has_eigenfunctions=True,
+        basis=functools.partial(_gaussian_phi, float(scale)),
     )
 
 
@@ -434,12 +427,11 @@ def thin_plate(m: int, d: int, M: int = M_DEFAULT) -> Spectrum:
         family="thin_plate",
         m=m,
         d=d,
-        scale=0.0,
         eigenvalues=nu ** (-2.0 * m / d),
         null_dim=0,
         tail=0.0,
         sup_sq=None,
-        has_eigenfunctions=False,
+        basis=None,
     )
 
 
@@ -471,11 +463,12 @@ def spectrum_for(family: str, m: int, d: int, lam: float, M: int | None = None,
 
 
 def _row_tiles(x: NDArray[np.float64], out: NDArray[np.float64]):
-    """``(x_tile, out_tile)`` pairs that cover the points ``x`` and the rows of
-    ``out`` (``x.shape + (M,)``) in order, each tile at most ``_TILE_VALUES``
-    values (at least one row). The rows of every machine are walked as one
-    sequence, so ``out``'s leading axes must merge into one without a copy,
-    as those of a C-ordered array or a column slice of one do."""
+    """``(x_tile, out_tile)`` pairs that cover the coordinates ``x`` (or
+    ``(..., 1)`` points) and the rows of ``out`` (``(..., M)``) in order, each
+    tile at most ``_TILE_VALUES`` values (at least one row). The rows of every
+    machine are walked as one sequence, so ``out``'s leading axes must merge
+    into one without a copy, as those of a C-ordered array or a column slice
+    of one do."""
     M = out.shape[-1]
     rows = out.reshape(-1, M)
     if out.size and not np.may_share_memory(rows, out):  # a copy: writes would be lost
@@ -489,8 +482,9 @@ def _row_tiles(x: NDArray[np.float64], out: NDArray[np.float64]):
 def _periodic_phi(M: int, x: NDArray[np.float64],
                   out: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
     """The ``M`` finite eigenfunctions of the 1-d periodic family at the
-    points ``x``, written into ``out`` (by default a new ``x.shape + (M,)``
-    array), which is returned.
+    coordinates ``x``, written into ``out`` (by default a new ``x.shape +
+    (M,)`` array), which is returned; with ``out`` given, ``x`` may also be
+    ``(..., 1)`` points, as for the periodic family's basis.
 
     Column ``2k - 2`` holds ``sqrt(2) sin(2 pi k x)`` and column ``2k - 1``
     holds ``sqrt(2) cos(2 pi k x)``; sin and cos are each computed only for
@@ -510,10 +504,10 @@ def _periodic_phi(M: int, x: NDArray[np.float64],
 
 def _spline_phi(m: int, K: int, x: NDArray[np.float64],
                 out: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The first ``K`` smoothing-spline eigenfunctions at points ``x``, written
-    into ``out`` (``x.shape + (K,)``) in row tiles (see :func:`_row_tiles`),
-    each built in place in two tile-sized scratch arrays whose last operation
-    writes the tile of ``out``.
+    """The first ``K`` smoothing-spline eigenfunctions at the coordinates or
+    ``(..., 1)`` points ``x``, written into ``out`` (``(..., K)``) in row
+    tiles (see :func:`_row_tiles`), each built in place in two tile-sized
+    scratch arrays whose last operation writes the tile of ``out``.
 
     For ``m = 2`` the beam mode is evaluated in an overflow-free form:
     ``cosh`` and ``sinh`` are split into exponentials and every growing
@@ -545,27 +539,51 @@ def _spline_phi(m: int, K: int, x: NDArray[np.float64],
     return out
 
 
+def _additive_phi(pts: NDArray[np.float64], out: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The additive family's basis at the ``(..., d)`` points ``pts`` (see
+    :func:`additive`), each component once per distinct value of its
+    coordinate, so a ``g x g`` grid costs ``2 g`` rows, not ``g^2``."""
+    d = pts.shape[-1]
+    for k in range(d):
+        # each component once per distinct bit pattern of its coordinate
+        # (a grid repeats them), gathered back: elementwise, so the same bits
+        x = pts[..., k]
+        distinct, inverse = np.unique(x.reshape(-1).view(np.int64), return_inverse=True)
+        phi = _periodic_phi(out.shape[-1] // d, distinct.view(np.float64))
+        out[..., k::d] = phi[inverse.reshape(x.shape)]
+    return out
+
+
+def _gaussian_phi(scale: float, pts: NDArray[np.float64],
+                  out: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The Gaussian's basis at the ``(..., d)`` points ``pts``: the Nyström
+    eigenfunctions of ``_gaussian_basis(d, scale, M)``, ``M = out.shape[-1]``
+    the spectrum's kept level, in one kernel gemm over all rows, as splitting
+    a gemm's rows changes their rounding."""
+    nodes, coef, _, index = _gaussian_basis(pts.shape[-1], scale, out.shape[-1])
+    out[...] = 1.0
+    for k in range(pts.shape[-1]):
+        # a stacked matmul is one gemm per machine, which keeps each
+        # machine's bits; a flat (b n, nodes) product would not
+        out *= (_gaussian_kernel(scale, pts[..., k], nodes) @ coef)[..., index[:, k]]
+    return out
+
+
 def feature_matrix(spec: Spectrum, X: NDArray[np.float64],
                    out: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
-    """All finite eigenfunctions at once: an ``(n, M)`` matrix, written into
-    ``out`` when given and returned. ``out`` may be a strided view, such as a
-    column slice of a wider array, if its leading axes merge without a copy.
+    """All finite eigenfunctions at once, built by ``spec.basis``: an ``(n,
+    M)`` matrix, written into ``out`` when given and returned. ``out`` may be
+    a strided view, such as a column slice of a wider array, if its leading
+    axes merge without a copy.
 
     Column ``j`` (0-based) holds the eigenfunction with eigenvalue
-    ``spec.eigenvalues[j]`` evaluated at the rows of ``X``. Points with a
-    leading machine axis, ``(b, n, d)``, give ``(b, n, M)``, and each
-    machine's ``(n, M)`` block has the bits of evaluating it alone. The
-    periodic and smoothing-spline bases are built in cache-sized row tiles,
-    so their scratch is a tile, not a copy of ``out``. The additive family
-    evaluates each component's sin/cos once per distinct value of its
-    coordinate, so a ``g x g`` grid costs ``2 g`` rows, not ``g^2``; the
-    Gaussian's kernel gemm runs over all rows at once, as splitting a gemm's
-    rows changes their rounding. The constant is not included, nor is the
-    rest of the null space (see :func:`null_basis`). Families without
-    eigenfunctions raise ``ValueError`` here, and so every evaluator built on
-    this one.
+    ``spec.eigenvalues[j]`` at the rows of ``X``. Points with a leading
+    machine axis, ``(b, n, d)``, give ``(b, n, M)``, each machine's block
+    with the bits of evaluating it alone. The null space is not included
+    (see :func:`null_basis`). A spectrum without eigenfunctions raises
+    ``ValueError`` here, and so does every evaluator built on this one.
     """
-    if not spec.has_eigenfunctions:
+    if spec.basis is None:
         raise ValueError(f"{spec.family} spectrum does not expose eigenfunctions")
     pts = _as_points(X, spec.d)
     shape = pts.shape[:-1] + (spec.M,)
@@ -573,46 +591,20 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64],
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"out must have shape {shape}, got {out.shape}")
-    if spec.family == "periodic_sobolev":
-        return _periodic_phi(spec.M, pts[..., 0], out)
-    if spec.family == "smoothing_spline":
-        return _spline_phi(spec.m, spec.M, pts[..., 0], out)
-    if spec.family == "additive":
-        per_comp = spec.M // spec.d
-        for k in range(spec.d):
-            # each component once per distinct bit pattern of its coordinate
-            # (a grid repeats them), gathered back: elementwise, so the same bits
-            x = pts[..., k]
-            distinct, inverse = np.unique(x.reshape(-1).view(np.int64), return_inverse=True)
-            phi = _periodic_phi(per_comp, distinct.view(np.float64))
-            out[..., k :: spec.d] = phi[inverse.reshape(x.shape)]
-        return out
-    if spec.family == "gaussian_rkhs":
-        nodes, coef, _, index = _gaussian_basis(spec.d, spec.scale, spec.M)
-        out[...] = 1.0
-        for k in range(spec.d):
-            # a stacked matmul is one gemm per machine, which keeps each
-            # machine's bits; a flat (b n, nodes) product would not
-            out *= (_gaussian_kernel(spec.scale, pts[..., k], nodes) @ coef)[..., index[:, k]]
-        return out
-    raise AssertionError("unreachable")
+    return spec.basis(pts, out)
 
 
 def null_basis(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The unpenalized null space at the rows of ``X``: an ``(n, null_dim)``
-    matrix of ``V``-orthonormal functions, the constant first, or ``(b, n,
-    null_dim)`` for points with a leading machine axis (as in
-    :func:`feature_matrix`).
-
-    For the smoothing spline these are the shifted Legendre polynomials
-    ``sqrt(2j + 1) P_j(2x - 1)``, ``j < m`` — for ``m = 2``,
-    ``{1, sqrt(12) (x - 1/2)}``; elsewhere the constant alone, or nothing.
+    """The unpenalized null space at the rows of ``X``, ``(n, null_dim)`` or
+    ``(b, n, null_dim)`` as in :func:`feature_matrix`: the ``V``-orthonormal
+    shifted Legendre polynomials ``sqrt(2j + 1) P_j(2 x_0 - 1)``, ``j <
+    null_dim``, in the first coordinate. The constant comes first, exactly 1,
+    and is all of it when ``null_dim = 1``; the smoothing spline at ``m = 2``
+    adds ``sqrt(12) (x - 1/2)``.
     """
-    pts = _as_points(X, spec.d)
-    if spec.family == "smoothing_spline":
-        legendre = np.polynomial.legendre.legvander(2.0 * pts[..., 0] - 1.0, spec.m - 1)
-        return legendre * np.sqrt(2.0 * np.arange(spec.m) + 1.0)
-    return np.ones(pts.shape[:-1] + (spec.null_dim,))
+    pts, q = _as_points(X, spec.d), spec.null_dim
+    legendre = np.polynomial.legendre.legvander(2.0 * pts[..., 0] - 1.0, max(q - 1, 0))[..., :q]
+    return legendre * np.sqrt(2.0 * np.arange(q) + 1.0)
 
 
 def _as_points(X, d: int) -> NDArray[np.float64]:
@@ -685,6 +677,5 @@ def check_tail_sum(spec: Spectrum) -> float:
 
 def check_prop31_ratio(spec: Spectrum, lam_grid) -> NDArray[np.float64]:
     """``h_inv2 / h_inv`` across a lambda grid (each ratio lies in (0, 1])."""
-    return np.array([
-        (lambda s: s.h_inv2 / s.h_inv)(spectral_sums(spec, lam)) for lam in lam_grid
-    ])
+    sums = [spectral_sums(spec, lam) for lam in lam_grid]
+    return np.array([s.h_inv2 / s.h_inv for s in sums])

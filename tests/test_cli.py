@@ -628,6 +628,25 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "unsupported" in capsys.readouterr().err
 
+    def test_xi_refused_past_its_basis_cap(self, tmp_path, capsys, monkeypatch):
+        # the m = 1 spline needs M = 4096 at lambda 0.3: a 4097 x 4097 Gram
+        # (134 MB) per machine, refused before any diagnostic runs
+        def never(*args):
+            raise AssertionError("xi_diagnostic ran")
+
+        monkeypatch.setattr(cli.dnc, "xi_diagnostic", never)
+        cfg = tmp_path / "diag.json"
+        cfg.write_text(json.dumps({
+            "spectrum": {"family": "spline", "m": 1},
+            "lambda_grid": [0.3],
+            "xi": {"N": 64, "s": 2},
+        }))
+        out = tmp_path / "d"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "xi" in err and "smoothing_spline" in err and "M=4096" in err
+        assert str(cli.XI_BASIS_CAP) in err and not out.exists()
+
     def test_unknown_family_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "diag.json"
         cfg.write_text(json.dumps({"spectrum": {"family": "bogus"}}))

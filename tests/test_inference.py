@@ -174,6 +174,13 @@ class TestTestStatistic:
         with pytest.raises(ValueError):
             wald_test(est, N=part.N_effective, sigma2=-1.0)
 
+    def test_N_must_be_the_estimates_s_times_n(self):
+        # N = 97 counts a row that the 4 machines of 24 points were not fitted on
+        spec, data, part, est = _estimate(n=97)
+        assert (part.N_effective, est.ys.size) == (96, 96)
+        with pytest.raises(ValueError, match=r"N=97 .* s \* n = 96"):
+            wald_test(est, N=97)
+
     def test_gaussian_null_is_centred(self):
         # the center sigma^2 h_inv / N uses the Gaussian's eigenvalues under
         # U[0,1]; with the spectrum of another design the null z drifts to -0.7

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -42,9 +43,9 @@ RNG = np.random.default_rng(1234)
 def explicit_spectrum(eigenvalues) -> Spectrum:
     """An eigenvalue-only spectrum with no null space and no tail, for sums
     and regularity checks that can be computed by hand."""
-    return Spectrum(family="explicit", m=0, d=1, scale=0.0,
+    return Spectrum(family="explicit", m=0, d=1,
                     eigenvalues=np.asarray(eigenvalues, dtype=np.float64), null_dim=0,
-                    tail=0.0, sup_sq=None, has_eigenfunctions=False)
+                    tail=0.0, sup_sq=None, basis=None)
 
 
 class TestEigenvalueLaws:
@@ -775,8 +776,8 @@ def test_spectrum_equality_semantics():
     assert periodic_sobolev(2, M=16) == periodic_sobolev(2, M=16)
     assert periodic_sobolev(2, M=16) != periodic_sobolev(2, M=32)
     spec = periodic_sobolev(2, M=16)
-    fields = dict(family="periodic_sobolev", m=2, d=1, scale=0.0, eigenvalues=spec.eigenvalues,
-                  null_dim=1, tail=spec.tail, sup_sq=2.0, has_eigenfunctions=True)
+    fields = dict(family="periodic_sobolev", m=2, d=1, eigenvalues=spec.eigenvalues,
+                  null_dim=1, tail=spec.tail, sup_sq=2.0, basis=spec.basis)
     assert spec == Spectrum(**fields)
     for change in ({"eigenvalues": np.ones(16)}, {"null_dim": 0}, {"tail": 0.0},
                    {"sup_sq": None}):
@@ -850,6 +851,21 @@ def test_family_name_resolves_to_its_constructor_at_its_level(family):
             continue
         assert spectrum_for(family, m, d, lam) == expected, (m, d, lam)
     assert spectrum_for(family, 2, 1, 1.0, M=8).M == 8  # an explicit level is taken as given
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_spectrum_pickles_with_its_basis(family):
+    # a spectrum shipped to another process builds the same basis there
+    spec = spectrum_for(family, 2, 2 if family in ("additive", "gaussian") else 1, 1e-3)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec
+    if spec.basis is None:
+        assert copy.basis is None
+        return
+    X = np.random.default_rng(11).uniform(size=(3, 7, spec.d))
+    assert np.array_equal(feature_matrix(copy, X).view(np.int64),
+                          feature_matrix(spec, X).view(np.int64))
+    assert np.array_equal(null_basis(copy, X), null_basis(spec, X))
 
 
 def test_unknown_family_name_is_refused():
