@@ -293,7 +293,7 @@ def _diagnostics(cfg: DiagnoseConfig, xi: bool) -> dict:
     if spec.basis is not None:
         lam0 = cfg.lambda_grid[0]
         grid = (np.arange(256) + 0.5) / 256
-        pts = grid.reshape(-1, 1) if spec.d == 1 else np.column_stack([grid] * spec.d)
+        pts = np.column_stack([grid] * spec.d)
         kxx = max(eval_kernel_K(spec, lam0, p, p) for p in pts)
         h_inv = spectral_sums(spec, lam0).h_inv
         report["kernel_bound"] = {

@@ -1,8 +1,8 @@
 """Divide-and-conquer pipeline: partition, per-machine fits, averaging.
 
 ``partition`` deals a :class:`~dckrr.solver.Dataset` of ``N`` points into
-``s`` machines of equal size ``n = floor(N/s)`` (the remainder is dropped and
-recorded), so a machine's data is some rows of the sample. ``fit_all`` and
+``s`` machines of equal size ``n = floor(N/s)`` (the remainder is left out),
+so a machine's data is some rows of the sample. ``fit_all`` and
 :func:`xi_diagnostic` each gather every machine's rows at once,
 ``data.xs[part.assignment]``, and read machine ``j`` as row ``j``. ``fit_all``
 fits each machine independently, in machine order, a block of machines at a
@@ -33,7 +33,6 @@ __all__ = [
     "Partition",
     "DncEstimate",
     "partition",
-    "subsample_for",
     "fit_all",
     "predict_bar",
     "xi_diagnostic",
@@ -44,10 +43,10 @@ _BLOCK_ROWS = 512  # design rows per block of machines that fit_all fits togethe
 
 @dataclass(frozen=True)
 class Partition:
-    """Assignment of sample indices to machines: an ``(s, n)`` index array."""
+    """Assignment of sample indices to machines: an ``(s, n)`` index array,
+    machine ``j``'s rows of the sample as row ``j``."""
 
     assignment: NDArray[np.int64]
-    dropped: NDArray[np.int64]
 
     @property
     def s(self) -> int:
@@ -86,11 +85,6 @@ class DncEstimate:
     def s(self) -> int:
         return len(self.fits)
 
-    @property
-    def c0(self) -> float:
-        """The constant's coefficient ``V(f_bar, 1)`` (the averaged intercept)."""
-        return float(self.beta[0]) if self.beta.size else 0.0
-
 
 def partition(data: Dataset, s: int, seed: int) -> Partition:
     """Randomly deal the sample into ``s`` machines of size ``floor(N/s)``.
@@ -103,17 +97,7 @@ def partition(data: Dataset, s: int, seed: int) -> Partition:
     n = data.N // s
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
     perm = rng.permutation(data.N)
-    used = s * n
-    return Partition(
-        assignment=perm[:used].reshape(s, n).astype(np.int64),
-        dropped=perm[used:].astype(np.int64),
-    )
-
-
-def subsample_for(data: Dataset, part: Partition, j: int) -> Dataset:
-    """Machine ``j``'s rows of the sample, as a ``Dataset`` of its own."""
-    idx = part.assignment[j]
-    return Dataset(xs=data.xs[idx], ys=data.ys[idx])
+    return Partition(assignment=perm[: s * n].reshape(s, n).astype(np.int64))
 
 
 def fit_all(
@@ -130,8 +114,8 @@ def fit_all(
     kept on the estimate; the :class:`Dataset` was checked when it was built. The
     machines are fitted serially, in blocks of ``max(1, 512 // n)`` machines,
     about 512 design rows: a block evaluates the basis once, and each of its
-    fits equals :func:`~dckrr.solver.krr_fit` on :func:`subsample_for` that
-    machine, bit for bit. A sweep runs its replications on threads instead
+    fits equals :func:`~dckrr.solver.krr_fit` on that machine's rows alone,
+    bit for bit. A sweep runs its replications on threads instead
     (see :func:`~dckrr.simlab.run_sweep`). ``workers`` is accepted as ``None``
     or 1 only, and any other value raises ``ValueError``.
     """

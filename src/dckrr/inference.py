@@ -3,7 +3,7 @@
 The test statistic is the squared embedded norm of the averaged estimate,
 ``T = |f_bar|^2`` where ``|f|^2 = V(f, f) + lam * |f|_H^2
 = sum_j beta_j^2 + sum_nu c_nu^2 (1 + lam/mu_nu)``, with ``beta`` the
-coefficients of the unpenalized null space (``c0 = beta_0`` the constant's).
+coefficients of the unpenalized null space.
 Under the null it concentrates at ``sigma^2 * h_inv / N`` with fluctuation
 ``sqrt(2 N (N-1) h_inv2) * sigma^2 / N^2``; the standardized statistic is
 compared with the two-sided normal quantile. Every family is read from
@@ -52,10 +52,6 @@ class TestReport:
     z: float
     critical: float
     reject: bool
-    alpha: float
-    N: int
-    lam: float
-    sigma2: float
 
 
 def norm_breakdown(est: DncEstimate) -> NormBreakdown:
@@ -100,8 +96,7 @@ def test_statistic(
 
     crit = float(ndtri(1.0 - alpha / 2.0))
     return TestReport(
-        statistic=T, center=center, scale=scale, z=z, critical=crit,
-        reject=bool(abs(z) >= crit), alpha=alpha, N=N, lam=est.lam, sigma2=sigma2,
+        statistic=T, center=center, scale=scale, z=z, critical=crit, reject=bool(abs(z) >= crit)
     )
 
 

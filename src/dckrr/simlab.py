@@ -24,7 +24,6 @@ import contextlib
 import ctypes
 import math
 import os
-import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Callable
@@ -87,7 +86,8 @@ def _model(name: str) -> _Model:
 
 class SweepError(RuntimeError):
     """Raised when more than 10% of a cell's replications fail, or before
-    any of them runs when its machines hold too few points to fit."""
+    any replication of the sweep runs when a cell's machines hold too few
+    points to fit."""
 
 
 class FieldError(ValueError):
@@ -264,7 +264,6 @@ class CellResult:
     reps: int
     dropped: int
     failures: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,6 @@ class ExperimentResult:
     """The cells of a sweep, and the thread count of each OpenBLAS library,
     by file name, while they ran (empty where none was found)."""
 
-    config: SweepConfig
     cells: tuple[CellResult, ...] = field(default_factory=tuple)
     blas_threads: dict[str, int] = field(default_factory=dict)
 
@@ -403,8 +401,11 @@ def _one_blas_thread():
             put(before[name])
 
 
-def _run_cell(cfg: SweepConfig, N: int, rho: float) -> CellResult:
-    t0 = time.perf_counter()
+def _resolve_cell(cfg: SweepConfig, N: int, rho: float) -> tuple:
+    """``(N, rho, s, n, lam, spec)`` of one cell, which :func:`_run_cell`
+    runs; a cell whose ``n`` is below the null space's dimension raises
+    :class:`SweepError`, and a spectrum that does not resolve ``lam``
+    :class:`~dckrr.spectra.TruncationError`."""
     s = max(1, math.floor(N**rho + 0.5))
     n = N // s
     lam = _cell_lambda(cfg, n)
@@ -414,6 +415,12 @@ def _run_cell(cfg: SweepConfig, N: int, rho: float) -> CellResult:
             f"cell N={N}, rho={rho}: each machine holds n={n} points, fewer than "
             f"the null_dim={spec.null_dim} functions of the unpenalized null space"
         )
+    return N, rho, s, n, lam, spec
+
+
+def _run_cell(
+    cfg: SweepConfig, N: int, rho: float, s: int, n: int, lam: float, spec: Spectrum
+) -> CellResult:
     seeds = [cfg.base_seed + r for r in range(cfg.replications)]
 
     def one(seed):
@@ -454,7 +461,6 @@ def _run_cell(cfg: SweepConfig, N: int, rho: float) -> CellResult:
         reps=k,
         dropped=N - s * n,
         failures=failures,
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -468,8 +474,11 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     ``FloatingPointError``, is counted and warned of; a cell with more than
     10% failures raises :class:`SweepError` from the first failure in
     replication order, whose
-    type and message it states. A cell whose ``n`` is below the null space's
-    dimension raises :class:`SweepError` before any replication. Any other
+    type and message it states. Every cell's ``s``, ``n``, ``lambda`` and
+    spectrum are resolved before the first replication of the sweep, so a cell
+    whose ``n`` is below the null space's dimension raises :class:`SweepError`,
+    and one whose spectrum cannot resolve its ``lambda``
+    :class:`~dckrr.spectra.TruncationError`, before any work runs. Any other
     exception, a ``ValueError`` or ``RuntimeError`` included, is a
     programming error and propagates. Aggregation is an ordered fold over the
     replication index, so the result is identical for any worker count.
@@ -481,5 +490,6 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     replications, the sweep's only parallelism.
     """
     with _one_blas_thread() as blas_threads:
-        cells = tuple(_run_cell(cfg, N, rho) for N in cfg.N_list for rho in cfg.rho_list)
-    return ExperimentResult(config=cfg, cells=cells, blas_threads=blas_threads)
+        resolved = [_resolve_cell(cfg, N, rho) for N in cfg.N_list for rho in cfg.rho_list]
+        cells = tuple(_run_cell(cfg, *cell) for cell in resolved)
+    return ExperimentResult(cells=cells, blas_threads=blas_threads)

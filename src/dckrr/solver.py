@@ -88,11 +88,6 @@ class MachineFit:
     theta: NDArray[np.float64] | None = field(default=None, repr=False)
     features: NDArray[np.float64] | None = field(default=None, repr=False)
 
-    @property
-    def intercept(self) -> float:
-        """Coefficient of the constant function (0.0 without a null space)."""
-        return float(self.beta[0]) if self.beta.size else 0.0
-
     def mercer_coeffs(self, spec: Spectrum) -> NDArray[np.float64]:
         """Coefficients ``c_nu = V(f, phi_nu)`` for the finite eigenpairs."""
         if self.solve_path == "truncated_feature":
@@ -163,10 +158,7 @@ def _fit_block(
             A.flat[:: n + 1] += n * lam
             if q:
                 # KKT system for the unpenalized null space: T'alpha = 0
-                sys = np.zeros((n + q, n + q))
-                sys[:n, :n] = A
-                sys[:n, n:] = T[j]
-                sys[n:, :n] = T[j].T
+                sys = np.block([[A, T[j]], [T[j].T, np.zeros((q, q))]])
                 rhs = np.concatenate([ys[j], np.zeros(q)])
                 sol = scipy.linalg.solve(sys, rhs, assume_a="sym", check_finite=False)
                 alpha, beta = sol[:n], sol[n:]

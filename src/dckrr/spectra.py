@@ -148,7 +148,6 @@ class SpectralSums:
     every function of the family's unpenalized null space.
     """
 
-    lam: float
     h_inv: float
     h_inv2: float
 
@@ -443,9 +442,12 @@ def spectrum_for(family: str, m: int, d: int, lam: float, M: int | None = None,
     ``M = None`` is the family's default level: :func:`smoothing_spline_level`
     or :func:`truncation_level` at ``lam``, ``M_DEFAULT`` for the thin plate,
     and every kept pair for the Gaussian, the one family that reads ``scale``.
-    A spectrum the family cannot build raises ``ValueError``, and one that
-    does not resolve ``lam`` :class:`TruncationError`.
+    A spectrum the family cannot build raises ``ValueError``, a ``d`` other
+    than 1 for the one-dimensional ``spline`` and ``periodic_sobolev`` among
+    them, and one that does not resolve ``lam`` :class:`TruncationError`.
     """
+    if family in ("spline", "periodic_sobolev") and d != 1:
+        raise ValueError(f"d must be 1 for the one-dimensional {family} family, got d={d}")
     if family == "spline":
         spec = smoothing_spline(m, smoothing_spline_level(m, lam) if M is None else M)
     elif family == "periodic_sobolev":
@@ -661,7 +663,7 @@ def spectral_sums(spec: Spectrum, lam: float) -> SpectralSums:
             f"truncation M={spec.M} too coarse for lam={lam:g}: "
             "tail of h_inv exceeds 1e-4 relative mass"
         )
-    return SpectralSums(lam=lam, h_inv=h_inv, h_inv2=h_inv2)
+    return SpectralSums(h_inv=h_inv, h_inv2=h_inv2)
 
 
 def check_tail_sum(spec: Spectrum) -> float:

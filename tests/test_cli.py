@@ -407,7 +407,7 @@ def _sweep(cfg):
 
     def record(config):
         recorded.append(config)
-        return simlab.ExperimentResult(config=config)
+        return simlab.ExperimentResult()
 
     code, err, made = _run("sweep", cfg, simlab, "run_sweep", record)
     return code, err, recorded, made
@@ -678,11 +678,16 @@ class TestDiagnoseCommand:
         ({"xi": {"lambda": math.nan}}, "xi.lambda"),
         ({"workers": 2}, "'workers'"),
         ({"spectrum": {"family": "thin_plate", "M": 16385}}, "spectrum: M=16385 exceeds cap"),
+        ({"spectrum": {"family": "spline", "d": 2}}, "spectrum: d must be 1 for the "
+         "one-dimensional spline family, got d=2"),
+        ({"spectrum": {"family": "periodic_sobolev", "d": 2}}, "spectrum: d must be 1 for the "
+         "one-dimensional periodic_sobolev family, got d=2"),
     ], ids=["m-two", "scale-wide", "famly", "lambda_grd", "lambda_grid-str",
             "xi.N-many", "xi.n", "xi.s-above-N", "m-0", "spline-m-3", "M-0", "M-too-coarse",
             "scale-negative", "lambda_grid-empty", "lambda_grid-0", "xi.lambda-0",
             "xi.seed-negative", "base_seed-str", "m-2.5", "xi.N-256.9", "m-true",
-            "lambda_grid-string", "xi.lambda-nan", "workers-key", "thin_plate-M-above-cap"])
+            "lambda_grid-string", "xi.lambda-nan", "workers-key", "thin_plate-M-above-cap",
+            "spline-d-2", "periodic_sobolev-d-2"])
     def test_bad_field_fails_fast_naming_it(self, tmp_path, capsys, cfg, field):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps(cfg))

@@ -13,7 +13,6 @@ from dckrr.dnc import (
     fit_all,
     partition,
     predict_bar,
-    subsample_for,
     xi_diagnostic,
 )
 from dckrr.solver import SOLVE_PATHS, krr_fit, predict
@@ -35,12 +34,18 @@ def _dataset(n, seed=0):
     return Dataset(xs=xs, ys=ys)
 
 
+def _machine_rows(data, part, j):
+    """Machine ``j``'s rows of the sample, gathered from the partition."""
+    idx = part.assignment[j]
+    return Dataset(xs=data.xs[idx], ys=data.ys[idx])
+
+
 class TestPartition:
     def test_shapes_and_remainder(self):
         data = _dataset(103)
         part = partition(data, s=4, seed=42)
         assert part.assignment.shape == (4, 25)
-        assert part.dropped.shape == (3,)
+        assert np.setdiff1d(np.arange(103), part.assignment).shape == (3,)
         assert part.N_effective == 100
 
     def test_disjoint_and_within_range(self):
@@ -65,14 +70,6 @@ class TestPartition:
         with pytest.raises(ValueError):
             partition(data, s=11, seed=0)
 
-    def test_subsample_for_extracts_rows(self):
-        data = _dataset(60)
-        part = partition(data, s=3, seed=5)
-        sub = subsample_for(data, part, 1)
-        idx = part.assignment[1]
-        assert np.array_equal(sub.xs, data.xs[idx])
-        assert np.array_equal(sub.ys, data.ys[idx])
-
 
 BLOCK_CASES = {
     "periodic": lambda: periodic_sobolev(2, M=32),
@@ -90,9 +87,9 @@ class TestFitAll:
         spec = periodic_sobolev(2, M=64)
         part = partition(data, s=1, seed=0)
         est = fit_all(spec, data, part, lam=1e-3, solve_path="exact_gram")
-        direct = krr_fit(spec, subsample_for(data, part, 0), lam=1e-3, solve_path="exact_gram")
+        direct = krr_fit(spec, _machine_rows(data, part, 0), lam=1e-3, solve_path="exact_gram")
         np.testing.assert_array_equal(est.fits[0].alpha, direct.alpha)
-        assert est.c0 == direct.intercept
+        assert np.array_equal(est.beta, direct.beta)
         grid = np.linspace(0, 1, 33)
         np.testing.assert_allclose(predict_bar(est, grid), predict(spec, direct, grid), atol=1e-12)
 
@@ -103,7 +100,9 @@ class TestFitAll:
         est = fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature")
         per_machine = np.stack([f.mercer_coeffs(spec) for f in est.fits])
         np.testing.assert_allclose(est.coeffs, per_machine.mean(axis=0), atol=1e-14)
-        assert est.c0 == pytest.approx(np.mean([f.intercept for f in est.fits]), abs=1e-14)
+        np.testing.assert_allclose(
+            est.beta, np.stack([f.beta for f in est.fits]).mean(axis=0), rtol=0, atol=1e-14
+        )
 
     def test_predict_bar_is_mean_of_predictions(self):
         data = _dataset(80)
@@ -139,7 +138,7 @@ class TestFitAll:
         part = partition(data, s=6, seed=7)
         base = fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature")
         one = fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature", workers=1)
-        assert np.array_equal(base.coeffs, one.coeffs) and base.c0 == one.c0
+        assert np.array_equal(base.coeffs, one.coeffs) and np.array_equal(base.beta, one.beta)
         with pytest.raises(ValueError, match="workers"):
             fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature", workers=workers)
 
@@ -157,7 +156,7 @@ class TestFitAll:
         est = fit_all(spec, data, part, lam=1e-3, solve_path=path)
         assert est.s == s
         for j, fit in enumerate(est.fits):
-            lone = krr_fit(spec, subsample_for(data, part, j), lam=1e-3, solve_path=path)
+            lone = krr_fit(spec, _machine_rows(data, part, j), lam=1e-3, solve_path=path)
             assert fit.solve_path == lone.solve_path
             for name in ("beta", "alpha", "theta", "features"):
                 a, b = getattr(fit, name), getattr(lone, name)
@@ -170,7 +169,8 @@ class TestFitAll:
         # would drop included
         data = _dataset(61)
         part = partition(data, s=3, seed=0)
-        i = part.assignment[1, 7] if row == "used" else part.dropped[0]
+        left_out = np.setdiff1d(np.arange(61), part.assignment)
+        i = part.assignment[1, 7] if row == "used" else left_out[0]
         arrays = {"xs": data.xs.copy(), "ys": data.ys.copy()}
         arrays[bad][i] = np.nan if bad == "xs" else np.inf
         with pytest.raises(ValueError, match=f"{bad} contains non-finite values"):
@@ -205,13 +205,13 @@ class TestFitAll:
             fit_all(smoothing_spline(2, M=8), data, part, lam=1e-3, solve_path="truncated_feature")
 
     def test_series_reconstruction(self):
-        # c0 + sum_nu c_nu phi_nu reproduces predict_bar on the feature path
+        # <beta, t> + sum_nu c_nu phi_nu reproduces predict_bar on the feature path, t = {1}
         data = _dataset(60)
         spec = periodic_sobolev(2, M=32)
         part = partition(data, s=3, seed=2)
         est = fit_all(spec, data, part, lam=1e-3, solve_path="truncated_feature")
         grid = np.linspace(0, 1, 25)
-        series = est.c0 + feature_matrix(spec, grid) @ est.coeffs
+        series = null_basis(spec, grid) @ est.beta + feature_matrix(spec, grid) @ est.coeffs
         np.testing.assert_allclose(series, predict_bar(est, grid), atol=1e-10)
 
 
@@ -222,8 +222,10 @@ class TestFitAll:
         spec = smoothing_spline(2, M=64)
         part = partition(data, s=3, seed=2)
         est = fit_all(spec, data, part, lam=1e-4, solve_path=solve_path)
-        assert est.beta.shape == (2,) and est.c0 == est.beta[0]
-        assert est.c0 == pytest.approx(np.mean([f.intercept for f in est.fits]), abs=1e-14)
+        assert est.beta.shape == (2,)
+        np.testing.assert_allclose(
+            est.beta, np.stack([f.beta for f in est.fits]).mean(axis=0), rtol=0, atol=1e-14
+        )
         grid = np.linspace(0, 1, 25)
         series = null_basis(spec, grid) @ est.beta + feature_matrix(spec, grid) @ est.coeffs
         np.testing.assert_allclose(series, predict_bar(est, grid), atol=1e-10)
@@ -335,7 +337,7 @@ class TestXiDiagnostic:
         spec = periodic_sobolev(2, M=M)
         xs = (np.arange(n) + 0.5) / n
         data = Dataset(xs=xs, ys=np.zeros(n))
-        part = Partition(assignment=np.arange(n).reshape(1, n), dropped=np.array([], dtype=np.int64))
+        part = Partition(assignment=np.arange(n).reshape(1, n))
         xi = xi_diagnostic(spec, data, part, lam=1e-2)
         assert xi[0] < 1e-10
 
@@ -346,7 +348,7 @@ class TestXiDiagnostic:
         for n in (32, 512):
             xs = rng.uniform(size=n)
             data = Dataset(xs=xs, ys=np.zeros(n))
-            part = Partition(assignment=np.arange(n).reshape(1, n), dropped=np.array([], dtype=np.int64))
+            part = Partition(assignment=np.arange(n).reshape(1, n))
             vals.append(xi_diagnostic(spec, data, part, lam=1e-2)[0])
         assert vals[1] < vals[0]
 
@@ -383,7 +385,7 @@ class TestProperties:
         spec, data, part, lam = _problem(problem)
         order = list(range(part.s))
         rnd.shuffle(order)
-        shuffled = Partition(assignment=part.assignment[order], dropped=part.dropped)
+        shuffled = Partition(assignment=part.assignment[order])
         a = fit_all(spec, data, part, lam, path)
         b = fit_all(spec, data, shuffled, lam, path)
         # summing the s machines' values in two orders and dividing by s moves

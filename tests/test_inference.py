@@ -8,7 +8,7 @@ import pytest
 import scipy.special
 
 from dckrr import rates, simlab, solver, spectra
-from dckrr.dnc import Dataset, fit_all, partition, predict_bar, subsample_for
+from dckrr.dnc import Dataset, fit_all, partition, predict_bar
 from dckrr.inference import (
     NormBreakdown,
     estimate_sigma2,
@@ -34,6 +34,12 @@ def _estimate(n=96, s=4, lam=1e-3, seed=0, solve_path="truncated_feature", c=0.6
     spec = periodic_sobolev(2, M=64)
     part = partition(data, s=s, seed=seed)
     return spec, data, part, fit_all(spec, data, part, lam=lam, solve_path=solve_path)
+
+
+def _machine_rows(data, part, j):
+    """Machine ``j``'s rows of the sample, gathered from the partition."""
+    idx = part.assignment[j]
+    return Dataset(xs=data.xs[idx], ys=data.ys[idx])
 
 
 class TestNormBreakdown:
@@ -62,7 +68,7 @@ class TestNormBreakdown:
         fbar = predict_bar(est, 0.5 * (x + 1.0))
         nb = norm_breakdown(est)
         assert nb.v_part == pytest.approx(float(0.5 * w @ fbar**2), rel=1e-10)
-        assert nb.v_part > float(np.sum(est.coeffs**2)) + est.c0**2  # the slope counts
+        assert nb.v_part > float(np.sum(est.coeffs**2)) + est.beta[0] ** 2  # the slope counts
 
     @pytest.mark.parametrize("s,d", [(2, 1), (8, 1), (8, 2)], ids=["s2-d1", "s8-d1", "s8-d2"])
     def test_gram_route_gaussian(self, s, d):
@@ -153,7 +159,7 @@ class TestTestStatistic:
         spec, data, part, est = _estimate()
         report = wald_test(est, N=part.N_effective)
         lam = est.lam
-        manual = est.c0**2 + float(
+        manual = float(np.sum(est.beta**2)) + float(
             np.sum(est.coeffs**2 * (1 + lam / spec.eigenvalues))
         )
         assert report.statistic == pytest.approx(manual, rel=1e-12)
@@ -243,7 +249,7 @@ class TestEstimateSigma2:
         est = fit_all(spec, data, part, lam=lam, solve_path=path)
         rss, dof = 0.0, 0.0
         for j, fit in enumerate(est.fits):
-            sub = subsample_for(data, part, j)
+            sub = _machine_rows(data, part, j)
             resid = sub.ys - predict(spec, fit, sub.xs)
             rss += float(resid @ resid)
             dof += sub.N - smoother_trace(spec, sub, lam) - float(spec.null_dim)
@@ -257,7 +263,7 @@ class TestEstimateSigma2:
         lam = est.lam
         rss, dof = 0.0, 0.0
         for j, fit in enumerate(est.fits):
-            sub = subsample_for(data, part, j)
+            sub = _machine_rows(data, part, j)
             resid = sub.ys - predict(spec, fit, sub.xs)
             rss += float(resid @ resid)
             dof += sub.N - smoother_trace(spec, sub, lam) - float(spec.null_dim)

@@ -271,6 +271,21 @@ class TestRunSweep:
             run_sweep(cfg)
         assert calls == []
 
+    def test_an_unrunnable_later_cell_fails_before_any_replication(self, monkeypatch):
+        # rho=0.3 runs (s=3, n=21), but rho=0.99 leaves s=61 machines of n=1
+        # point: every cell is resolved before the first replication runs
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(simlab, "_run_replication", record)
+        cfg = SweepConfig(N_list=(64,), rho_list=(0.3, 0.99), replications=3)
+        with pytest.raises(SweepError, match=r"N=64, rho=0.99: .*n=1 .*null_dim=2"):
+            run_sweep(cfg)
+        assert calls == []
+
     def test_machines_as_large_as_the_null_space_run(self):
         # N=64, rho=0.8: s=28 machines of n=2 points
         cell = run_sweep(SweepConfig(N_list=(64,), rho_list=(0.8,), replications=3)).cells[0]

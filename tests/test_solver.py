@@ -74,7 +74,7 @@ class TestExactGram:
         spec = gaussian_rkhs(1, scale=1.0)
         fit = krr_fit(spec, _sub([0.3], [0.8]), lam=1.0, solve_path="exact_gram")
         assert fit.alpha[0] == pytest.approx(0.4, rel=1e-14)
-        assert fit.intercept == 0.0
+        assert fit.beta.shape == (0,)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_dense_oracle_with_intercept(self, seed):
@@ -87,7 +87,7 @@ class TestExactGram:
         fit = krr_fit(spec, _sub(xs, ys), lam=lam, solve_path="exact_gram")
         alpha0, beta0 = _oracle_exact_gram(spec, xs, ys, lam)
         np.testing.assert_allclose(fit.alpha, alpha0, rtol=0, atol=1e-10)
-        assert fit.intercept == pytest.approx(beta0, abs=1e-10)
+        assert fit.beta[0] == pytest.approx(beta0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_dense_oracle_no_constant(self, seed):
@@ -136,7 +136,7 @@ class TestTruncatedFeature:
         fit = krr_fit(spec, _sub(xs, ys), lam=lam, solve_path="truncated_feature")
         theta0, beta0 = _oracle_truncated(spec, xs, ys, lam)
         np.testing.assert_allclose(fit.theta, theta0, rtol=0, atol=1e-9)
-        assert fit.intercept == pytest.approx(beta0, abs=1e-9)
+        assert fit.beta[0] == pytest.approx(beta0, abs=1e-9)
 
     def test_unsupported_families(self):
         sub = _sub([0.2, 0.8], [1.0, -1.0])
@@ -220,9 +220,8 @@ class TestMercerCoefficients:
         fit = krr_fit(spec, _sub(xs, ys), lam=1e-3, solve_path="truncated_feature")
         c = fit.mercer_coeffs(spec)
         grid = rng.uniform(size=16)
-        series = fit.intercept + feature_matrix(spec, grid) * np.sqrt(spec.eigenvalues) @ (
-            c / np.sqrt(spec.eigenvalues)
-        )
+        psi = feature_matrix(spec, grid) * np.sqrt(spec.eigenvalues)
+        series = null_basis(spec, grid) @ fit.beta + psi @ (c / np.sqrt(spec.eigenvalues))
         np.testing.assert_allclose(series, predict(spec, fit, grid), atol=1e-10)
 
 
@@ -242,7 +241,7 @@ class TestLinearityAndValidation:
         fb = krr_fit(spec, _sub(xs, y2), lam=lam, solve_path="exact_gram")
         fc = krr_fit(spec, _sub(xs, a * y1 + b * y2), lam=lam, solve_path="exact_gram")
         np.testing.assert_allclose(fc.alpha, a * fa.alpha + b * fb.alpha, atol=1e-8)
-        assert fc.intercept == pytest.approx(a * fa.intercept + b * fb.intercept, abs=1e-8)
+        np.testing.assert_allclose(fc.beta, a * fa.beta + b * fb.beta, rtol=0, atol=1e-8)
 
     def test_input_validation(self):
         spec = periodic_sobolev(2, M=16)

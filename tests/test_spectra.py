@@ -826,10 +826,23 @@ def test_level_is_a_positive_multiple_of_the_unit_within_the_cap(make, unit):
         make(M_CAP + unit)
 
 
+def _one_dimensional(family, make):
+    """``make(m, lam)`` of a one-dimensional family, which refuses ``d != 1``."""
+
+    def build(m, d, lam):
+        if d != 1:
+            raise ValueError(f"d must be 1 for the one-dimensional {family} family, got d={d}")
+        return make(m, lam)
+
+    return build
+
+
 # The constructor and level that each config name stood for.
 _BY_NAME = {
-    "spline": lambda m, d, lam: smoothing_spline(m, smoothing_spline_level(m, lam)),
-    "periodic_sobolev": lambda m, d, lam: periodic_sobolev(m, truncation_level(m, lam)),
+    "spline": _one_dimensional(
+        "spline", lambda m, lam: smoothing_spline(m, smoothing_spline_level(m, lam))),
+    "periodic_sobolev": _one_dimensional(
+        "periodic_sobolev", lambda m, lam: periodic_sobolev(m, truncation_level(m, lam))),
     "additive": lambda m, d, lam: additive(m, d, truncation_level(m, lam, d)),
     "gaussian": lambda m, d, lam: gaussian_rkhs(d, 1.0, M_CAP),
     "gaussian_rkhs": lambda m, d, lam: gaussian_rkhs(d, 1.0, M_CAP),
