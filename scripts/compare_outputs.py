@@ -40,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import difflib
 import filecmp
+import importlib.util
 import io
 import json
 import os
@@ -74,12 +75,24 @@ RATES = {
 }
 
 
+def _workloads():
+    """``perfbench/workloads.py``, loaded by its path under a private name:
+    nothing is added to ``sys.path`` or ``sys.modules``, and no bytecode is
+    written under ``perfbench/``."""
+    spec = importlib.util.spec_from_file_location(
+        "_compare_outputs_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    dont_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write_bytecode
+    return module
+
+
 def cases() -> dict[str, tuple[str, dict]]:
     """``name -> (command, config)`` of every config compared, in order."""
-    sys.dont_write_bytecode = True  # leave nothing behind in perfbench/
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    import workloads as wl
-
+    wl = _workloads()
     out = {}
     for workload in wl.SWEEP_FIELDS:
         for seed in range(3):

@@ -229,29 +229,38 @@ class DiagnoseConfig:
     of sweep configs: a field ``spectrum_<key>`` or ``xi_<key>`` is the key
     ``<key>`` of that JSON object, every other field a top-level key, and the
     defaults here are the only defaults. The ``xi`` diagnostic runs when the
-    config holds a non-empty ``xi`` object, and ``xi_seed`` is its one seed."""
+    config holds a non-empty ``xi`` object, and ``xi_seed`` is its one seed.
+    ``spectrum_m`` and ``spectrum_scale`` are ``None`` for the family's own
+    value, and each is refused for a family that does not read it."""
 
     SECTIONS = ("spectrum", "xi")  # the JSON objects; not a field
 
     lambda_grid: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     spectrum_family: str = "spline"
-    spectrum_m: int = 2
+    spectrum_m: int | None = None  # the order, 2 when null; refused for the Gaussian
     spectrum_d: int = 1
     spectrum_M: int | None = None  # the family's level for the finest lambda
-    spectrum_scale: float = 1.0  # the Gaussian's exp(-scale |x - y|^2)
+    # the Gaussian's exp(-scale |x - y|^2), 1.0 when null; refused for the rest
+    spectrum_scale: float | None = None
     xi_N: int = 1024
     xi_s: int = 4
     xi_lambda: float | None = None  # the first lambda of the grid
     xi_seed: int = 0
 
     def __post_init__(self):
+        gaussian = self.spectrum_family in ("gaussian", "gaussian_rkhs")  # reads scale, not m
         simlab.check_fields(self, lambda: (
             ("lambda_grid", min(self.lambda_grid) > 0, "must hold positive values"),
             ("spectrum_family", self.spectrum_family in FAMILIES, f"must be one of {FAMILIES}"),
-            ("spectrum_m", self.spectrum_m >= 1, "must be >= 1"),
+            ("spectrum_m", self.spectrum_m is None or not gaussian,
+             f"must be null for the {self.spectrum_family} family, which has no order"),
+            ("spectrum_m", self.spectrum_m is None or self.spectrum_m >= 1, "must be >= 1"),
             ("spectrum_d", self.spectrum_d >= 1, "must be >= 1"),
             ("spectrum_M", self.spectrum_M is None or self.spectrum_M >= 1, "must be >= 1"),
-            ("spectrum_scale", self.spectrum_scale > 0, "must be positive"),
+            ("spectrum_scale", self.spectrum_scale is None or gaussian,
+             f"must be null for the {self.spectrum_family} family, which has no bandwidth"),
+            ("spectrum_scale", self.spectrum_scale is None or self.spectrum_scale > 0,
+             "must be positive"),
             ("xi_N", self.xi_N >= 1, "must be >= 1"),
             ("xi_s", 1 <= self.xi_s <= self.xi_N, f"must be in 1..{self.xi_N}"),
             ("xi_lambda", self.xi_lambda is None or self.xi_lambda > 0, "must be positive"),
@@ -270,8 +279,9 @@ def _diagnostics(cfg: DiagnoseConfig, xi: bool) -> dict:
     is a config error raised before any diagnostic runs. The spectrum is the
     family's at the finest ``lambda`` of the grid."""
     try:
-        spec = spectrum_for(cfg.spectrum_family, cfg.spectrum_m, cfg.spectrum_d,
-                            min(cfg.lambda_grid), cfg.spectrum_M, cfg.spectrum_scale)
+        spec = spectrum_for(cfg.spectrum_family, 2 if cfg.spectrum_m is None else cfg.spectrum_m,
+                            cfg.spectrum_d, min(cfg.lambda_grid), cfg.spectrum_M,
+                            1.0 if cfg.spectrum_scale is None else cfg.spectrum_scale)
     except ValueError as exc:  # the family's own limits, TruncationError included
         raise ConfigError(f"spectrum: {exc}") from exc
     if xi and (spec.basis is None or spec.d > 2):  # designs come from 1-D or 2-D models

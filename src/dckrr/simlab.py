@@ -426,7 +426,7 @@ def _run_cell(
     def one(seed):
         try:
             return _run_replication(cfg, N, s, lam, spec, seed)
-        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        except np.linalg.LinAlgError as exc:
             return exc  # a numerical failure: recorded, not fatal
 
     if cfg.workers > 1:
@@ -469,9 +469,9 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
 
     Per cell: ``s = max(1, round(N^rho))`` (half-up), ``n = floor(N/s)``;
     replication ``r`` uses seed ``base_seed + r``. A replication that raises
-    a numerical failure, ``LinAlgError`` (a fit that is not positive
-    definite, or residual degrees of freedom that are not positive) or
-    ``FloatingPointError``, is counted and warned of; a cell with more than
+    a numerical failure, a ``LinAlgError`` (a fit that is not positive
+    definite, or residual degrees of freedom that are not positive), is
+    counted and warned of; a cell with more than
     10% failures raises :class:`SweepError` from the first failure in
     replication order, whose
     type and message it states. Every cell's ``s``, ``n``, ``lambda`` and
@@ -487,9 +487,12 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     each library's previous count is restored on return and on an
     exception. The counts are process-wide, so other BLAS work in the process
     meanwhile runs on one thread too. ``cfg.workers`` threads run the
-    replications, the sweep's only parallelism.
+    replications, the sweep's only parallelism. The sweep runs in numpy's
+    default floating-point error state (underflow ignored, the rest warned
+    of), whatever the caller's, as its pool threads start in that state: an
+    underflow in a spectrum's or a replication's arithmetic is no failure.
     """
-    with _one_blas_thread() as blas_threads:
+    with _one_blas_thread() as blas_threads, np.errstate(all="warn", under="ignore"):
         resolved = [_resolve_cell(cfg, N, rho) for N in cfg.N_list for rho in cfg.rho_list]
         cells = tuple(_run_cell(cfg, *cell) for cell in resolved)
     return ExperimentResult(cells=cells, blas_threads=blas_threads)

@@ -21,7 +21,10 @@ eigenvalue array; each of its functions contributes exactly 1 to each
 spectral sum and ``t(x) t(y)`` to ``K``, and is fitted without penalty.
 
 Each constructor sets the family's ``tail``, ``sup_sq`` and ``basis`` (see
-:class:`Spectrum`); :func:`spectrum_for` builds a family by its config name.
+:class:`Spectrum`), the builder bound to the eigenpairs it computed. Families
+compose: :func:`additive` is ``d`` copies of :func:`periodic_sobolev`, one per
+coordinate, whose builder calls the component's. :func:`spectrum_for` builds a
+family by its config name.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -108,7 +111,9 @@ class Spectrum:
         d)`` points ``pts`` into ``out`` (``pts.shape[:-1] + (M,)``) and
         returns it (see :func:`feature_matrix`); a module-level function or a
         ``functools.partial`` of one, so a spectrum pickles, and not compared
-        by ``==``. ``None`` for the thin plate, which has no eigenfunctions.
+        by ``==``. The constructor binds the builder's level, or the
+        component spectrum it repeats, so no builder reads them from
+        ``out``. ``None`` for the thin plate, which has no eigenfunctions.
     """
 
     family: str
@@ -194,16 +199,30 @@ def truncation_level(m: int, lam: float, d: int = 1) -> int:
 
 
 def periodic_sobolev(m: int, M: int = M_DEFAULT) -> Spectrum:
-    """Periodic Sobolev spectrum of order ``m`` on [0, 1]: :func:`additive`
-    with ``d = 1`` under its own family name, whose basis is built in row
-    tiles without the additive family's search for repeated coordinates.
+    """Periodic Sobolev spectrum of order ``m`` on [0, 1], the component of
+    :func:`additive`.
 
     Finite eigenpairs: columns ``2k - 2`` and ``2k - 1`` of
     :func:`feature_matrix` are ``sqrt(2) sin(2*pi*k*x)`` and ``sqrt(2)
     cos(2*pi*k*x)``, both with eigenvalue ``(2*pi*k)^(-2m)``; the constant
-    is the null space.
+    is the null space. ``M`` must be even, so every frequency has both.
     """
-    return replace(additive(m, 1, M), family="periodic_sobolev", basis=functools.partial(_periodic_phi, M))
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    _check_level(M, 2)
+    pairs = M // 2
+    k = np.arange(1, pairs + 1, dtype=np.float64)
+    return Spectrum(
+        family="periodic_sobolev",
+        m=m,
+        d=1,
+        eigenvalues=np.repeat((2.0 * np.pi * k) ** (-2 * m), 2),  # sin and cos of pair k
+        null_dim=1,
+        # the eigenvalues past the last pair, bounded by the integral
+        tail=2.0 * (2.0 * np.pi) ** (-2 * m) * float(pairs) ** (1 - 2 * m) / (2 * m - 1),
+        sup_sq=2.0,
+        basis=functools.partial(_periodic_phi, M),
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,13 +316,15 @@ def smoothing_spline_level(m: int, lam: float) -> int:
 
 
 def additive(m: int, d: int, M: int | None = None) -> Spectrum:
-    """Additive periodic Sobolev spectrum on [0, 1]^d.
+    """Additive periodic Sobolev spectrum on [0, 1]^d: ``d`` copies of
+    ``base = periodic_sobolev(m, M // d)``, one per coordinate, sharing its
+    constant, the one null-space function.
 
     The columns of :func:`feature_matrix` interleave components fastest:
-    column ``p*d + k`` is column ``p`` of the periodic basis in coordinate
-    ``k`` (all 0-based). A single global constant is the null space. ``M``
-    counts the finite eigenfunctions and must be a multiple of ``2*d`` so
-    every component gets complete sin/cos pairs.
+    column ``p*d + k`` is column ``p`` of ``base`` in coordinate ``k`` (all
+    0-based), with ``base``'s eigenvalue ``p``. ``M`` counts the finite
+    eigenfunctions and must be a multiple of ``2*d`` so every component gets
+    complete sin/cos pairs; the ``tail`` is ``d`` times ``base``'s.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -312,20 +333,16 @@ def additive(m: int, d: int, M: int | None = None) -> Spectrum:
     if M is None:
         M = math.ceil(M_DEFAULT / (2 * d)) * 2 * d
     _check_level(M, 2 * d)
-    pairs = M // (2 * d)  # complete sin/cos pairs per component
-    k = np.arange(1, pairs + 1, dtype=np.float64)
-    # (2 pi k)^(-2m) for the sin and cos of pair k, then once per component
-    eigenvalues = np.repeat(np.repeat((2.0 * np.pi * k) ** (-2 * m), 2), d)
+    base = periodic_sobolev(m, M // d)
     return Spectrum(
         family="additive",
         m=m,
         d=d,
-        eigenvalues=eigenvalues,
+        eigenvalues=np.repeat(base.eigenvalues, d),
         null_dim=1,
-        # each component's tail past its last pair, bounded by the integral
-        tail=2.0 * d * (2.0 * np.pi) ** (-2 * m) * float(pairs) ** (1 - 2 * m) / (2 * m - 1),
-        sup_sq=2.0,
-        basis=_additive_phi,
+        tail=d * base.tail,
+        sup_sq=base.sup_sq,
+        basis=functools.partial(_additive_phi, base),
     )
 
 
@@ -406,7 +423,7 @@ def gaussian_rkhs(d: int = 1, scale: float = 1.0, M: int = M_CAP) -> Spectrum:
         null_dim=0,
         tail=max(0.0, 1.0 - float(np.sum(mu))),
         sup_sq=None,
-        basis=functools.partial(_gaussian_phi, float(scale)),
+        basis=functools.partial(_gaussian_phi, float(scale), M),
     )
 
 
@@ -464,9 +481,9 @@ def spectrum_for(family: str, m: int, d: int, lam: float, M: int | None = None,
     return spec
 
 
-def _row_tiles(x: NDArray[np.float64], out: NDArray[np.float64]):
-    """``(x_tile, out_tile)`` pairs that cover the coordinates ``x`` (or
-    ``(..., 1)`` points) and the rows of ``out`` (``(..., M)``) in order, each
+def _row_tiles(pts: NDArray[np.float64], out: NDArray[np.float64]):
+    """``(x_tile, out_tile)`` pairs that cover the coordinates of the ``(...,
+    1)`` points ``pts`` and the rows of ``out`` (``(..., M)``) in order, each
     tile at most ``_TILE_VALUES`` values (at least one row). The rows of every
     machine are walked as one sequence, so ``out``'s leading axes must merge
     into one without a copy, as those of a C-ordered array or a column slice
@@ -475,28 +492,25 @@ def _row_tiles(x: NDArray[np.float64], out: NDArray[np.float64]):
     rows = out.reshape(-1, M)
     if out.size and not np.may_share_memory(rows, out):  # a copy: writes would be lost
         raise ValueError("out's leading axes must merge into one without a copy")
-    x = x.reshape(-1)
+    x = pts.reshape(-1)
     step = max(1, _TILE_VALUES // M)
     for i in range(0, x.shape[0], step):
         yield x[i : i + step], rows[i : i + step]
 
 
-def _periodic_phi(M: int, x: NDArray[np.float64],
-                  out: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
-    """The ``M`` finite eigenfunctions of the 1-d periodic family at the
-    coordinates ``x``, written into ``out`` (by default a new ``x.shape +
-    (M,)`` array), which is returned; with ``out`` given, ``x`` may also be
-    ``(..., 1)`` points, as for the periodic family's basis.
+def _periodic_phi(M: int, pts: NDArray[np.float64],
+                  out: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The ``M`` finite eigenfunctions of the periodic family at the ``(...,
+    1)`` points ``pts``, written into ``out`` (``(..., M)``), which is
+    returned.
 
     Column ``2k - 2`` holds ``sqrt(2) sin(2 pi k x)`` and column ``2k - 1``
     holds ``sqrt(2) cos(2 pi k x)``; sin and cos are each computed only for
     their own columns, in row tiles (see :func:`_row_tiles`).
     """
-    if out is None:
-        out = np.empty(x.shape + (M,))
-    halves = ((np.sin, np.arange(1, (M + 1) // 2 + 1), 0), (np.cos, np.arange(1, M // 2 + 1), 1))
-    for xt, ot in _row_tiles(x, out):
-        for trig, k, first in halves:
+    k = np.arange(1, M // 2 + 1)
+    for xt, ot in _row_tiles(pts, out):
+        for trig, first in ((np.sin, 0), (np.cos, 1)):
             t = np.multiply.outer(xt, k)
             t *= 2.0 * np.pi
             trig(t, out=t)
@@ -504,10 +518,10 @@ def _periodic_phi(M: int, x: NDArray[np.float64],
     return out
 
 
-def _spline_phi(m: int, K: int, x: NDArray[np.float64],
+def _spline_phi(m: int, K: int, pts: NDArray[np.float64],
                 out: NDArray[np.float64]) -> NDArray[np.float64]:
-    """The first ``K`` smoothing-spline eigenfunctions at the coordinates or
-    ``(..., 1)`` points ``x``, written into ``out`` (``(..., K)``) in row
+    """The first ``K`` smoothing-spline eigenfunctions at the ``(..., 1)``
+    points ``pts``, written into ``out`` (``(..., K)``) in row
     tiles (see :func:`_row_tiles`), each built in place in two tile-sized
     scratch arrays whose last operation writes the tile of ``out``.
 
@@ -519,13 +533,13 @@ def _spline_phi(m: int, K: int, x: NDArray[np.float64],
     """
     b = _spline_freqs(m, K)
     if m == 1:
-        for xt, ot in _row_tiles(x, out):
+        for xt, ot in _row_tiles(pts, out):
             t = np.multiply.outer(xt, b)
             np.cos(t, out=t)
             np.multiply(t, math.sqrt(2.0), out=ot)
         return out
     phase, amp, decay, a = _beam_coeffs(K)
-    for xt, ot in _row_tiles(x, out):
+    for xt, ot in _row_tiles(pts, out):
         t = np.multiply.outer(xt, b)
         tmp = np.negative(t)
         np.exp(tmp, out=tmp)
@@ -541,28 +555,30 @@ def _spline_phi(m: int, K: int, x: NDArray[np.float64],
     return out
 
 
-def _additive_phi(pts: NDArray[np.float64], out: NDArray[np.float64]) -> NDArray[np.float64]:
+def _additive_phi(base: Spectrum, pts: NDArray[np.float64],
+                  out: NDArray[np.float64]) -> NDArray[np.float64]:
     """The additive family's basis at the ``(..., d)`` points ``pts`` (see
-    :func:`additive`), each component once per distinct value of its
-    coordinate, so a ``g x g`` grid costs ``2 g`` rows, not ``g^2``."""
+    :func:`additive`): ``base.basis`` in each coordinate, once per distinct
+    value of it, so a ``g x g`` grid costs ``2 g`` rows, not ``g^2``."""
     d = pts.shape[-1]
     for k in range(d):
-        # each component once per distinct bit pattern of its coordinate
-        # (a grid repeats them), gathered back: elementwise, so the same bits
+        # each distinct bit pattern of the coordinate (a grid repeats them),
+        # gathered back: elementwise, so the same bits
         x = pts[..., k]
         distinct, inverse = np.unique(x.reshape(-1).view(np.int64), return_inverse=True)
-        phi = _periodic_phi(out.shape[-1] // d, distinct.view(np.float64))
+        scratch = np.empty((distinct.shape[0], base.M))
+        phi = base.basis(distinct.view(np.float64)[:, None], scratch)
         out[..., k::d] = phi[inverse.reshape(x.shape)]
     return out
 
 
-def _gaussian_phi(scale: float, pts: NDArray[np.float64],
+def _gaussian_phi(scale: float, M: int, pts: NDArray[np.float64],
                   out: NDArray[np.float64]) -> NDArray[np.float64]:
     """The Gaussian's basis at the ``(..., d)`` points ``pts``: the Nyström
-    eigenfunctions of ``_gaussian_basis(d, scale, M)``, ``M = out.shape[-1]``
-    the spectrum's kept level, in one kernel gemm over all rows, as splitting
-    a gemm's rows changes their rounding."""
-    nodes, coef, _, index = _gaussian_basis(pts.shape[-1], scale, out.shape[-1])
+    eigenfunctions of ``_gaussian_basis(d, scale, M)``, the pairs that
+    :func:`gaussian_rkhs` computed, in one kernel gemm over all rows, as
+    splitting a gemm's rows changes their rounding."""
+    nodes, coef, _, index = _gaussian_basis(pts.shape[-1], scale, M)
     out[...] = 1.0
     for k in range(pts.shape[-1]):
         # a stacked matmul is one gemm per machine, which keeps each

@@ -682,12 +682,21 @@ class TestDiagnoseCommand:
          "one-dimensional spline family, got d=2"),
         ({"spectrum": {"family": "periodic_sobolev", "d": 2}}, "spectrum: d must be 1 for the "
          "one-dimensional periodic_sobolev family, got d=2"),
+        # a field the family does not read
+        ({"spectrum": {"family": "gaussian", "m": 5}},
+         "spectrum.m must be null for the gaussian family"),
+        ({"spectrum": {"family": "gaussian_rkhs", "m": 2}}, "spectrum.m must be null"),
+        *(({"spectrum": {"family": family, "scale": 3.0}},
+           f"spectrum.scale must be null for the {family} family")
+          for family in FAMILIES if family not in ("gaussian", "gaussian_rkhs")),
     ], ids=["m-two", "scale-wide", "famly", "lambda_grd", "lambda_grid-str",
             "xi.N-many", "xi.n", "xi.s-above-N", "m-0", "spline-m-3", "M-0", "M-too-coarse",
             "scale-negative", "lambda_grid-empty", "lambda_grid-0", "xi.lambda-0",
             "xi.seed-negative", "base_seed-str", "m-2.5", "xi.N-256.9", "m-true",
             "lambda_grid-string", "xi.lambda-nan", "workers-key", "thin_plate-M-above-cap",
-            "spline-d-2", "periodic_sobolev-d-2"])
+            "spline-d-2", "periodic_sobolev-d-2", "gaussian-m", "gaussian_rkhs-m",
+            *(f"{family}-scale" for family in FAMILIES
+              if family not in ("gaussian", "gaussian_rkhs"))])
     def test_bad_field_fails_fast_naming_it(self, tmp_path, capsys, cfg, field):
         path = tmp_path / "diag.json"
         path.write_text(json.dumps(cfg))
@@ -696,6 +705,21 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spectrum,key,value", [
+        ({"family": "spline"}, "m", 2),
+        ({"family": "additive", "d": 2}, "m", 2),
+        ({"family": "gaussian"}, "scale", 1.0),
+    ], ids=["spline-m", "additive-m", "gaussian-scale"])
+    def test_a_null_field_is_the_familys_own_value(self, tmp_path, spectrum, key, value):
+        reports = []
+        for given in ({}, {key: None}, {key: value}):
+            path = tmp_path / "diag.json"
+            path.write_text(json.dumps({"spectrum": {**spectrum, **given}, "lambda_grid": [1e-2]}))
+            out = tmp_path / f"out{len(reports)}"
+            assert main(["diagnose", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            reports.append((out / "diagnostics.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     def test_manifest_seed_is_the_xi_seed(self, tmp_path):
         # xi.seed is the one seed a diagnose run draws from

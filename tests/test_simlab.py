@@ -303,17 +303,20 @@ class TestRunSweep:
             run_sweep(cfg)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_truncation_error_in_a_replication_propagates_uncounted(self, monkeypatch, workers):
+    @pytest.mark.parametrize("error", [spectra.TruncationError, FloatingPointError])
+    def test_an_error_other_than_linalg_in_a_replication_propagates_uncounted(
+            self, monkeypatch, error, workers):
         # the cell's spectrum already passed the truncation check a
-        # replication repeats, so one raised there is a bug
-        def unresolved(cfg, N, s, lam, spec, seed):
-            raise spectra.TruncationError("synthetic truncation")
+        # replication repeats, and a sweep never raises on floating-point
+        # errors, so either raised in a replication is a bug
+        def failing(cfg, N, s, lam, spec, seed):
+            raise error("synthetic failure")
 
-        monkeypatch.setattr(simlab, "_run_replication", unresolved)
+        monkeypatch.setattr(simlab, "_run_replication", failing)
         cfg = SweepConfig(N_list=(64,), rho_list=(0.3,), replications=4, workers=workers)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(spectra.TruncationError, match="synthetic truncation"):
+            with pytest.raises(error, match="synthetic failure"):
                 run_sweep(cfg)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -332,6 +335,18 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="synthetic shape bug"):
                 run_sweep(cfg)
         assert calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_callers_error_state_changes_no_cell(self, workers):
+        # the sweep runs in numpy's default error state, the one its pool
+        # threads start in; the spline's caches are emptied so the underflow
+        # of exp(-b) at its high frequencies runs under the caller's state
+        cfg = SweepConfig(N_list=(512,), rho_list=(0.3, 0.75), replications=4, workers=workers)
+        for cached in (spectra._beam_roots, spectra._spline_freqs, spectra._beam_coeffs):
+            cached.cache_clear()
+        with np.errstate(all="raise"):
+            raised = run_sweep(cfg).cells
+        assert raised == run_sweep(cfg).cells
 
     def test_nonpositive_plugin_degrees_of_freedom_are_counted(self):
         # N=64, rho=0.8: machines of n=2 points against {1, x} leave no

@@ -207,6 +207,14 @@ class TestEigenfunctions:
         closed = np.exp(-scale * ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1))
         assert np.max(np.abs(gram_R(gaussian_rkhs(d, scale), X, X) - closed)) <= 1e-12
 
+    def test_gaussian_basis_reads_the_pairs_its_constructor_computed(self):
+        # the floor keeps 10 of the 64 pairs asked for; the builder still
+        # reads the constructor's cached pairs, not a second eigendecomposition
+        spectra._gaussian_basis.cache_clear()
+        spec = gaussian_rkhs(1, 1.0, M=64)
+        feature_matrix(spec, RNG.uniform(size=7))
+        assert spec.M < 64 and spectra._gaussian_basis.cache_info().misses == 1
+
     def test_thin_plate_has_no_eigenfunctions(self):
         spec = thin_plate(2, 2)
         with pytest.raises(ValueError):
@@ -280,26 +288,32 @@ def _grid64():
 
 
 class TestAdditivePerCoordinate:
-    @pytest.mark.parametrize("points", [
-        lambda rng: _grid64(),
+    @pytest.mark.parametrize("m,d,M,points", [
+        (2, 2, 40, lambda rng: _grid64()),
         # a machine stack with repeated coordinates, within and across machines
-        lambda rng: rng.choice([0.0, -0.0, 0.125, 0.3, 0.5, 0.97], size=(3, 11, 2)),
-        lambda rng: rng.uniform(size=(50, 2)),
-    ], ids=["grid", "repeated-stack", "random"])
-    def test_equals_each_component_on_every_point(self, points):
-        spec = additive(2, 2, M=40)
+        (2, 2, 40, lambda rng: rng.choice([0.0, -0.0, 0.125, 0.3, 0.5, 0.97], size=(3, 11, 2))),
+        (2, 2, 40, lambda rng: rng.uniform(size=(50, 2))),
+        # an odd d, on a machine stack with repeated coordinates
+        (3, 5, 30, lambda rng: rng.choice([0.0, -0.0, 0.125, 0.3, 0.97, 1.0], size=(2, 9, 5))),
+    ], ids=["grid", "repeated-stack", "random", "m3-d5-stack"])
+    def test_equals_each_component_on_every_point(self, m, d, M, points):
+        # d copies of the periodic family: its eigenvalues, each repeated d
+        # times, and its builder at coordinate k in columns k::d
+        spec, base = additive(m, d, M), periodic_sobolev(m, M // d)
+        assert np.array_equal(spec.eigenvalues, np.repeat(base.eigenvalues, d))
         X = points(np.random.default_rng(3))
         phi = feature_matrix(spec, X)
-        for k in range(2):  # bit for bit, the sign of sin(-0.0) included
-            assert np.array_equal(phi[..., k::2].view(np.int64),
-                                  _periodic_phi(20, X[..., k]).view(np.int64))
+        for k in range(d):  # bit for bit, the sign of sin(-0.0) included
+            x = X[..., k : k + 1]
+            component = _periodic_phi(base.M, x, np.empty(x.shape[:-1] + (base.M,)))
+            assert np.array_equal(phi[..., k::d].view(np.int64), component.view(np.int64))
 
     def test_grid_evaluates_each_axis_value_once(self, monkeypatch):
         sizes, real = [], spectra._periodic_phi
 
-        def counting(M, x):
-            sizes.append(np.size(x))
-            return real(M, x)
+        def counting(M, pts, out):
+            sizes.append(pts.shape[0])
+            return real(M, pts, out)
 
         monkeypatch.setattr(spectra, "_periodic_phi", counting)
         feature_matrix(additive(2, 2, M=40), _grid64())
