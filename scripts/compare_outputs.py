@@ -17,7 +17,12 @@ The list: the 18 sweep configs of the benchmark (``perfbench/workloads.py``,
 models and an explicit-``lambda`` ``spline1d`` pair, each on both solve
 paths; an ``additive2d`` cell on a 20 x 20 grid; two sweeps whose
 replications run on 2 threads (a ``spline1d`` pair of cells, and an
-``exact_gram`` plug-in ``additive2d`` cell); ``diagnose`` with no config,
+``exact_gram`` plug-in ``additive2d`` cell); two ``exact_gram`` cells whose
+machines' grid products are large enough that ``predict_bar`` runs them on
+several threads (``spline1d`` at ``N = 4096, rho = 0.75`` with an explicit
+``lambda`` of 3.95e-7, 512 machines of 8 points on a 512-point grid, and
+plug-in ``additive2d`` at ``N = 2048, rho = 0.6``, 97 machines of 21 points
+on the 64 x 64 grid); ``diagnose`` with no config,
 with each family by name (with the ``xi`` diagnostic where the family has
 eigenfunctions), with the thin plate at ``d = 2, M = 2048``, with the
 additive family at ``d = 2`` on an ``xi`` partition that drops rows (``s``
@@ -112,6 +117,14 @@ def cases() -> dict[str, tuple[str, dict]]:
         cell, rho_list=[0.2, 0.75], replications=6, workers=2))
     out["additive2d-plugin-exact_gram-workers2"] = ("sweep", dict(
         cell, model="additive2d", rho_list=[0.3], replications=4, workers=2,
+        sigma2={"mode": "plugin"}, solve_path="exact_gram"))
+    # exact_gram cells whose per-machine cross-gram (len(grid) * M * n) is
+    # past the gate from which predict_bar runs machines on several threads
+    out["spline1d-N4096-rho0.75-explicit-lambda-exact_gram"] = ("sweep", dict(
+        N_list=[4096], rho_list=[0.75], replications=2, solve_path="exact_gram",
+        **{"lambda": {"source": "explicit", "value": 3.95e-7}}))
+    out["additive2d-N2048-rho0.6-plugin-exact_gram"] = ("sweep", dict(
+        N_list=[2048], model="additive2d", rho_list=[0.6], replications=2,
         sigma2={"mode": "plugin"}, solve_path="exact_gram"))
     out["diagnose-default"] = ("diagnose", {})
     for family, extra in FAMILIES.items():

@@ -5,8 +5,10 @@ separators, LF line endings, and 17 significant digits. Every run writes a
 ``manifest.json`` listing each output file with its SHA-256 hash, the
 effective config, the artifact version, and wall time; a sweep's also records
 ``blas_threads``, the thread count of each OpenBLAS library during its cells
-(``{}`` where none was found). Exit codes: 0 on
-success, 2 on configuration errors, 3 on experiment failures.
+(``{}`` where none was found), and ``machine_threads``, the most threads that
+a :func:`~dckrr.dnc.predict_bar` of the process has run one estimate's
+machines on (1 where none ran them in parallel). Exit codes: 0 on success, 2
+on configuration errors, 3 on experiment failures.
 
 ``simlab.SweepConfig`` is the schema of a sweep config and ``DiagnoseConfig``
 of a diagnose config: a dataclass's fields are the keys (``lambda_task`` is
@@ -197,7 +199,7 @@ def cmd_sweep(args) -> int:
             values = (getattr(cell, attr) for _, attr in CSV_COLUMNS)
             fh.write(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in values) + "\n")
     _write_manifest(args.out, dataclasses.asdict(cfg), [csv_path], cfg.base_seed, t0,
-                    blas_threads=result.blas_threads)
+                    blas_threads=result.blas_threads, machine_threads=dnc._machine_threads())
     print(f"wrote {csv_path} ({len(result.cells)} rows)")
     return EXIT_OK
 

@@ -13,19 +13,32 @@ machine alone. A ``truncated_feature`` block allocates one design array and
 builds its basis in cache-sized row tiles, so it holds one block-sized array,
 not three. An ``exact_gram`` fit keeps its basis at its design points, so the
 estimate's coefficients, :func:`predict_bar` and the plug-in variance read it
-instead of evaluating it again. The bits also depend on the BLAS thread count,
-which :func:`~dckrr.simlab.run_sweep` fixes at one; outside a sweep it is the
-caller's.
+instead of evaluating it again. :func:`predict_bar` evaluates the basis at its
+points once; where each machine's ``exact_gram`` cross-gram is large and every
+OpenBLAS of the process runs on one thread, as in a sweep, it runs the
+machines' products on the calling thread and on a pool sized by the CPUs the
+process may run on, up to ``_MAX_MACHINE_THREADS``, a level of parallelism
+under a sweep's ``workers``, and folds their values in machine order, so the
+bits are those of running them one after another. The bits also depend on the
+BLAS thread count, which :func:`~dckrr.simlab.run_sweep` fixes at one; outside
+a sweep it is the caller's.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from dckrr.solver import Dataset, MachineFit, _fit_block, _predictions
+from dckrr.solver import Dataset, MachineFit, _fit_block, _prediction_basis, _values
 from dckrr.spectra import Spectrum, feature_matrix, null_basis
 
 __all__ = [
@@ -39,6 +52,22 @@ __all__ = [
 ]
 
 _BLOCK_ROWS = 512  # design rows per block of machines that fit_all fits together
+# multiply-adds (len(X) * M * n) of one machine's cross-gram from which
+# predict_bar runs machines on several threads. Timed against the calling
+# thread alone on a 2-core host with one BLAS thread (whole calls, medians of
+# 11 alternating timings), the pool took 1.8x the time at 7.7e3 and 3.1e4,
+# 1.3x at 1.3e5, 0.99x at 2.6e5 and 3.3e5 (gaussian-norm's estimate),
+# 0.92-0.95x at 5.2e5 and 1.0e6 where the basis at X is most of the call
+# (smoothing_spline, M=340, n=8), and 0.66-0.78x from 1e6 where the products are
+_PARALLEL_MADDS = 2**20
+_PENDING_VALUES = 2**17  # values a finished pool slice may hold, at most
+# the most threads predict_bar runs machines on. Each thread holds a (len(X),
+# n) cross-gram and its pending values: on additive-gram-plugin's sweep, with
+# the pool sized for 1, 2, 4, 8 and 16 CPUs, peak RSS read 72.7, 75.4, 82.2,
+# 92.0 and 98.6 MB. Speed was measured on 2 CPUs only
+_MAX_MACHINE_THREADS = 2
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -135,13 +164,152 @@ def fit_all(
 
 
 def predict_bar(est: DncEstimate, X: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Evaluate the averaged estimate at new points (ordered fold over the
-    machines, with the basis at ``X`` evaluated once)."""
-    values = _predictions(est.spec, est.fits, X)
+    """Evaluate the averaged estimate at new points: an ordered fold over the
+    machines, ``acc = v_0; acc += v_1; ...; acc / s``, with the basis at
+    ``X`` evaluated once.
+
+    Where one machine's ``exact_gram`` cross-gram costs at least
+    ``_PARALLEL_MADDS`` multiply-adds (``len(X) * M * n``) and every OpenBLAS
+    of the process runs on one thread, as in a sweep, several machines'
+    products run at once, on the calling thread and on the machine pool (see
+    :func:`_machine_values`). Each product is the same BLAS call on the same
+    operands, and the fold's order is unchanged, so the result is
+    bit-identical to the serial one."""
+    null, F = _prediction_basis(est.spec, est.fits[0].solve_path, X)
+    values = _machine_values(est.fits, null, F)
     acc = next(values)
     for v in values:
         acc += v
     return acc / est.s
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, so ``taskset``
+    bounds it, or ``os.cpu_count()`` where there is no such call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool() -> ThreadPoolExecutor | None:
+    """The machine pool, made on first use with one thread fewer than
+    ``min(_cpus(), _MAX_MACHINE_THREADS)`` and shared by every
+    :func:`predict_bar` of the process; ``None`` on one CPU."""
+    global _POOL
+    with _POOL_LOCK:
+        threads = min(_cpus(), _MAX_MACHINE_THREADS)
+        if _POOL is None and threads > 1:
+            _POOL = ThreadPoolExecutor(threads - 1, thread_name_prefix="dckrr-machines")
+        return _POOL
+
+
+def _machine_threads() -> int:
+    """The most threads a :func:`predict_bar` of this process has run its
+    machines on: one more than the machine pool's, or 1 where no pool was made."""
+    pool = _POOL
+    return 1 if pool is None else 1 + pool._max_workers
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, whose copy of it has no threads:
+    the child's first parallel :func:`predict_bar` makes its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+# (get, set) thread-count symbols of an OpenBLAS build, tried in order
+OPENBLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")
+)
+
+
+def _openblas_libraries() -> dict[str, tuple]:
+    """``name -> (get, set)`` thread-count functions of each OpenBLAS library
+    mapped into this process, by file name; empty where there is none or
+    ``/proc/self/maps`` is missing (MKL, macOS)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln and "/" in ln})
+    except OSError:
+        return {}
+    found = {}
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping that is not a loadable library
+            continue
+        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found[os.path.basename(path)] = (get, put)
+                break
+    return found
+
+
+
+
+@functools.cache
+def _openblas_thread_getters() -> tuple:
+    """The thread-count getters of the process's OpenBLAS libraries, looked
+    up once (NumPy's and SciPy's are mapped before this module is imported)."""
+    return tuple(get for get, _ in _openblas_libraries().values())
+
+
+def _blas_on_one_thread() -> bool:
+    """Whether every OpenBLAS of the process runs on one thread, as in a
+    :func:`~dckrr.simlab.run_sweep`; ``False`` where there is none, as another
+    BLAS's thread count is unknown. Machine threads beside BLAS threads would
+    compete for the cores."""
+    getters = _openblas_thread_getters()
+    return bool(getters) and all(get() == 1 for get in getters)
+
+
+def _machine_values(fits, null, F) -> Iterator[NDArray[np.float64]]:
+    """Each machine's values from ``(null, F)``, in machine order.
+
+    The machines are cut into consecutive slices of ``ceil(s / threads)``
+    machines, at most ``max(1, _PENDING_VALUES // len(F))``, and each round
+    of ``threads`` slices computes the first on the calling thread, whose
+    values are yielded as they come, and the others on the machine pool, each
+    with its own cross-gram buffer, whose values are yielded after, in order.
+    So at most ``threads - 1`` finished slices are held at once. ``threads``
+    is 1, and every slice runs on the calling thread, on the
+    ``truncated_feature`` path (one ``len(X) x M`` gemv a machine), below
+    the gate, with one machine, with one CPU, or with an OpenBLAS on more
+    than one thread; otherwise it is one more than the pool's. A pool task
+    runs in a copy of the caller's context (NumPy's error state is a context
+    variable), calls no public ``dckrr`` function (the benchmark's tracer
+    keeps one span stack for all threads) and never waits on the pool; its
+    exception is raised here when its values are reached.
+    """
+    large = (len(fits) > 1 and fits[0].solve_path == "exact_gram"
+             and F.size * fits[0].features.shape[0] >= _PARALLEL_MADDS)
+    pool = _pool() if large and _blas_on_one_thread() else None
+    threads = 1 if pool is None else 1 + pool._max_workers
+    width = min(-(-len(fits) // threads), max(1, _PENDING_VALUES // len(F)))
+    slices = [fits[j : j + width] for j in range(0, len(fits), width)]
+    for r in range(0, len(slices), threads):
+        mine, *theirs = slices[r : r + threads]
+        pending = [pool.submit(copy_context().run, _slice_values, part, null, F) for part in theirs]
+        try:
+            yield from _values(mine, null, F)
+            while pending:
+                yield from pending.pop(0).result()
+        finally:
+            for task in pending:
+                task.cancel()
+
+
+def _slice_values(fits, null, F) -> list[NDArray[np.float64]]:
+    """A pool task: one slice's values, computed with a buffer of its own."""
+    return list(_values(fits, null, F))
 
 
 def xi_diagnostic(

@@ -15,15 +15,15 @@ the outcome of the Wald-type test. Replication ``r`` uses seed
 ``base_seed + r`` on a counter-based generator, and a sweep runs every
 OpenBLAS in the process on one thread, so results are independent of
 execution order, worker count and the host's core count. Replications run on
-``workers`` threads, the sweep's only parallelism.
+``workers`` threads; under them, :func:`~dckrr.dnc.predict_bar` runs an
+estimate's machines on a pool of its own where their grid products are
+large, with the bits of running them in turn.
 """
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Callable
@@ -33,6 +33,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from dckrr import dnc, rates
+from dckrr.dnc import _openblas_libraries
 from dckrr.inference import estimate_sigma2, test_statistic
 from dckrr.solver import SOLVE_PATHS
 from dckrr.spectra import Spectrum, _as_points, spectrum_for
@@ -349,38 +350,6 @@ def _run_replication(cfg: SweepConfig, N: int, s: int, lam: float, spec: Spectru
     return mse, 1.0 if report.reject else 0.0
 
 
-# (get, set) thread-count symbols of an OpenBLAS build, tried in order
-OPENBLAS_THREAD_SYMBOLS = tuple(
-    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
-    for prefix in ("scipy_openblas", "openblas") for suffix in ("64_", "")
-)
-
-
-def _openblas_libraries() -> dict[str, tuple]:
-    """``name -> (get, set)`` thread-count functions of each OpenBLAS library
-    mapped into this process, by file name; empty where there is none or
-    ``/proc/self/maps`` is missing (MKL, macOS)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({ln.split()[-1] for ln in fh if "openblas" in ln and "/" in ln})
-    except OSError:
-        return {}
-    found = {}
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # a mapping that is not a loadable library
-            continue
-        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
-            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found[os.path.basename(path)] = (get, put)
-                break
-    return found
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with every OpenBLAS library on one thread, and restore
@@ -487,7 +456,8 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     each library's previous count is restored on return and on an
     exception. The counts are process-wide, so other BLAS work in the process
     meanwhile runs on one thread too. ``cfg.workers`` threads run the
-    replications, the sweep's only parallelism. The sweep runs in numpy's
+    replications, and :func:`~dckrr.dnc.predict_bar` may run an estimate's
+    machines on a pool of its own under them. The sweep runs in numpy's
     default floating-point error state (underflow ignored, the rest warned
     of), whatever the caller's, as its pool threads start in that state: an
     underflow in a spectrum's or a replication's arithmetic is no failure.

@@ -181,27 +181,33 @@ def _fit_block(
 
 def predict(spec: Spectrum, fit: MachineFit, X: NDArray[np.float64]) -> NDArray[np.float64]:
     """Evaluate a fitted machine at new points."""
-    return next(_predictions(spec, (fit,), X))
+    return next(_values((fit,), *_prediction_basis(spec, fit.solve_path, X)))
 
 
-def _predictions(spec: Spectrum, fits, X: NDArray[np.float64]) -> Iterator[NDArray[np.float64]]:
-    """Each fit's values at ``X``, in order, with the basis at ``X`` evaluated once.
-
-    The fits share one solve path and one machine size ``n``, as one fit or
-    the fits of one :func:`~dckrr.dnc.fit_all` do, and only the scaled basis
-    it multiplies by is built, in place: ``phi * sqrt(mu)`` for
-    ``truncated_feature`` and ``phi * mu`` (the left factor of
+def _prediction_basis(spec: Spectrum, solve_path: str, X: NDArray[np.float64]):
+    """``(null, F)`` at ``X``: the null-space basis and the one scaled basis
+    that fits of ``solve_path`` multiply by, built in place: ``phi *
+    sqrt(mu)`` for ``truncated_feature`` and ``phi * mu`` (the left factor of
     :func:`~dckrr.spectra.gram_R`) for ``exact_gram``, whose right factor is
-    the fit's kept ``features``. The ``exact_gram`` cross-grams ``(len(X),
-    n)`` are written into one buffer that every fit reuses; each yielded
-    array is new. Each fit's values are bit-identical to evaluating it alone.
-    """
+    each fit's kept ``features``."""
     X = np.asarray(X, dtype=np.float64)
     null = null_basis(spec, X)
-    exact = fits[0].solve_path == "exact_gram"
     F = feature_matrix(spec, X)
-    F *= spec.eigenvalues if exact else np.sqrt(spec.eigenvalues)
-    if not exact:
+    F *= spec.eigenvalues if solve_path == "exact_gram" else np.sqrt(spec.eigenvalues)
+    return null, F
+
+
+def _values(
+    fits, null: NDArray[np.float64], F: NDArray[np.float64]
+) -> Iterator[NDArray[np.float64]]:
+    """Each fit's values at the points of :func:`_prediction_basis`'s ``(null,
+    F)``, in order, each bit-identical to evaluating that fit alone. The fits
+    share one solve path and one machine size ``n``, as one fit or the fits of
+    one :func:`~dckrr.dnc.fit_all` do. The ``exact_gram`` cross-grams
+    ``(len(F), n)`` are written into one buffer of this call, which its fits
+    reuse; each yielded array is new. Only NumPy runs here, so the loop may
+    run on any thread."""
+    if fits[0].solve_path != "exact_gram":
         yield from (null @ fit.beta + F @ fit.theta for fit in fits)
         return
     R = np.empty((F.shape[0], fits[0].features.shape[0]))  # the reused cross-gram

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dckrr import cli, rates, simlab
+from dckrr import cli, dnc, rates, simlab
 from dckrr.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, main
 from dckrr.solver import SOLVE_PATHS
 from dckrr.spectra import FAMILIES, smoothing_spline_level, truncation_level
@@ -90,6 +90,31 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["blas_threads"] == {name: 1 for name in simlab._openblas_libraries()}
+
+    @pytest.mark.parametrize("solve_path, cpus, cap, expected", [
+        ("truncated_feature", 3, 4, 1), ("exact_gram", 1, 4, 1), ("exact_gram", 3, 4, 3),
+        ("exact_gram", 6, 4, 4),
+    ])
+    def test_manifest_records_machine_threads(self, tmp_path, monkeypatch, solve_path, cpus, cap,
+                                              expected):
+        # the threads predict_bar ran machines on: the pool it made, sized by
+        # the CPUs up to the cap, or 1 where it ran none in parallel. Every
+        # exact_gram cross-gram passes the gate here, and the BLAS is taken to
+        # be on one thread, as a sweep sets OpenBLAS, whatever the host's BLAS
+        monkeypatch.setattr(dnc, "_POOL", None)
+        monkeypatch.setattr(dnc, "_MAX_MACHINE_THREADS", cap)
+        monkeypatch.setattr(dnc, "_PARALLEL_MADDS", 0)
+        monkeypatch.setattr(dnc, "_cpus", lambda: cpus)
+        monkeypatch.setattr(dnc, "_blas_on_one_thread", lambda: True)
+        cfg = _write_config(tmp_path, solve_path=solve_path)
+        out = tmp_path / "out"
+        try:
+            assert main(["sweep", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        finally:
+            if dnc._POOL is not None:
+                dnc._POOL.shutdown()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["machine_threads"] == expected
 
     @pytest.mark.parametrize("cell", [
         {"model": "spline1d", "N_list": [8192], "rho_list": [0.2], "replications": 4,

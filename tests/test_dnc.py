@@ -1,11 +1,17 @@
 """Unit tests for the divide-and-conquer driver."""
 
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dckrr import dnc, solver
+from dckrr import dnc, simlab, solver
 from dckrr.dnc import (
     Dataset,
     DncEstimate,
@@ -289,7 +295,8 @@ class TestPredictBar:
         spec = make_spec()
         est = fit_all(spec, data, partition(data, 4, seed=6), lam=1e-3, solve_path="exact_gram")
         grid = rng.uniform(size=(33, d)) if d > 1 else np.linspace(0, 1, 33)
-        collected = list(solver._predictions(spec, est.fits, grid))
+        basis = solver._prediction_basis(spec, "exact_gram", grid)
+        collected = list(solver._values(est.fits, *basis))
         assert len(collected) == est.s
         for values, fit in zip(collected, est.fits):
             assert np.array_equal(values, predict(spec, fit, grid))
@@ -306,10 +313,16 @@ class TestPredictBar:
         ]
         assert np.array_equal(est.coeffs, sum(per_machine, np.zeros(spec.M)) / est.s)
 
-    @pytest.mark.parametrize("case", ["smoothing_spline-truncated_feature", "periodic_sobolev-exact_gram"])
-    def test_evaluates_the_basis_at_X_once(self, case, monkeypatch):
+    @pytest.mark.parametrize("case, parallel", [
+        ("smoothing_spline-truncated_feature", False),
+        ("periodic_sobolev-exact_gram", False),
+        ("periodic_sobolev-exact_gram", True),
+    ], ids=["smoothing_spline-truncated_feature", "periodic_sobolev-exact_gram",
+            "periodic_sobolev-exact_gram-parallel"])
+    def test_evaluates_the_basis_at_X_once(self, case, parallel, in_parallel, monkeypatch):
         spec, est, grid = self._fit(case)
         assert est.s == 6
+        tasks = in_parallel() if parallel else []
         seen = []
 
         def counting(spec_, X):
@@ -319,6 +332,189 @@ class TestPredictBar:
         monkeypatch.setattr(solver, "feature_matrix", counting)
         predict_bar(est, grid)
         assert sum(X.shape == grid.shape and np.array_equal(X, grid) for X in seen) == 1
+        assert bool(tasks) == parallel
+
+
+@pytest.fixture
+def in_parallel(monkeypatch):
+    """A function that makes predict_bar run on a fresh pool of at least two
+    threads, with the gate at ``gate`` multiply-adds (by default every
+    exact_gram one passes it) and the BLAS taken to be on one thread. It
+    returns the list each pool task appends its thread and NumPy error state
+    to. The pool is shut down after the test."""
+    made = []
+
+    def start(gate=0):
+        tasks = []
+        cpus = max(2, dnc._cpus())
+        slice_values = dnc._slice_values
+
+        def recording(*args):
+            tasks.append((threading.current_thread(), np.geterr()))
+            return slice_values(*args)
+
+        monkeypatch.setattr(dnc, "_POOL", None)
+        monkeypatch.setattr(dnc, "_cpus", lambda: cpus)
+        monkeypatch.setattr(dnc, "_PARALLEL_MADDS", gate)
+        monkeypatch.setattr(dnc, "_blas_on_one_thread", lambda: True)
+        monkeypatch.setattr(dnc, "_slice_values", recording)
+        made.append(True)
+        return tasks
+
+    yield start
+    if made and dnc._POOL is not None:
+        dnc._POOL.shutdown()
+
+
+def _large_estimate(case):
+    """An exact_gram estimate whose cross-grams pass the gate, and its grid:
+    21 machines of 97 points on the 64 x 64 grid, or 64 of 8 on 512 points."""
+    model, spec, N, s = {
+        "additive": ("additive2d", additive(2, 2, M=200), 2048, 21),
+        "spline": ("spline1d", smoothing_spline(2, M=340), 512, 64),
+    }[case]
+    data = simlab.generate(model, N, seed=5, c=1.0)
+    est = fit_all(spec, data, partition(data, s, seed=5), lam=1e-4, solve_path="exact_gram")
+    return est, simlab._eval_grid(spec.d, {"additive": 64, "spline": 512}[case])
+
+
+def _fork_child(est, grid, conn):
+    conn.send(predict_bar(est, grid).tobytes())
+    conn.close()
+
+
+class TestMachinePool:
+    @pytest.mark.parametrize("pending", [None, 5], ids=["one-round", "five-machine-slices"])
+    @pytest.mark.parametrize("case", ["additive", "spline"])
+    def test_above_the_gate_equals_the_ordered_fold_and_the_serial_bits(
+        self, case, pending, in_parallel, monkeypatch
+    ):
+        # five-machine slices take several rounds, the last one short
+        est, grid = _large_estimate(case)
+        folded = sum(predict(est.spec, f, grid) for f in est.fits) / est.s
+        tasks = in_parallel(gate=dnc._PARALLEL_MADDS)
+        if pending:
+            monkeypatch.setattr(dnc, "_PENDING_VALUES", pending * len(grid))
+        parallel = predict_bar(est, grid)
+        assert len(tasks) >= (2 if pending else 1)
+        assert np.array_equal(parallel, folded)
+        ran = len(tasks)
+        # serial: below the gate, with an OpenBLAS on more than one thread, on one CPU
+        for name, value in [("_PARALLEL_MADDS", np.inf), ("_blas_on_one_thread", lambda: False)]:
+            with monkeypatch.context() as m:
+                m.setattr(dnc, name, value)
+                assert np.array_equal(predict_bar(est, grid), parallel)
+        with monkeypatch.context() as m:
+            m.setattr(dnc, "_POOL", None)
+            m.setattr(dnc, "_cpus", lambda: 1)
+            assert np.array_equal(predict_bar(est, grid), parallel)
+            assert dnc._POOL is None
+        assert len(tasks) == ran
+
+    def test_runs_in_parallel_only_with_openblas_on_one_thread(self, in_parallel, monkeypatch):
+        # pool threads beside OpenBLAS threads would compete for the cores
+        blas_on_one_thread = dnc._blas_on_one_thread
+        libs = simlab._openblas_libraries()
+        if not libs:
+            pytest.skip("no OpenBLAS library in this process")
+        spec, est, grid = TestPredictBar._fit("periodic_sobolev-exact_gram")
+        expected = sum(predict(spec, f, grid) for f in est.fits) / est.s
+        tasks = in_parallel()
+        monkeypatch.setattr(dnc, "_blas_on_one_thread", blas_on_one_thread)
+        before = {name: get() for name, (get, _) in libs.items()}
+        try:
+            for _, put in libs.values():
+                put(2)
+            assert np.array_equal(predict_bar(est, grid), expected)
+            assert not tasks
+            with simlab._one_blas_thread():
+                assert np.array_equal(predict_bar(est, grid), expected)
+            assert tasks
+        finally:
+            for name, (_, put) in libs.items():
+                put(before[name])
+        # and never with another BLAS, whose thread count is unknown
+        monkeypatch.setattr(dnc, "_openblas_thread_getters", lambda: ())
+        assert not dnc._blas_on_one_thread()
+
+    def test_a_pool_task_sees_the_callers_error_state(self, in_parallel):
+        spec, est, grid = TestPredictBar._fit("periodic_sobolev-exact_gram")
+        tasks = in_parallel()
+        with np.errstate(over="raise"):
+            predict_bar(est, grid)
+        assert tasks
+        for thread, state in tasks:
+            assert thread is not threading.main_thread()
+            assert state["over"] == "raise"
+        assert np.geterr()["over"] != "raise"
+
+    def test_an_error_in_a_pool_slice_reaches_the_caller(self, in_parallel, monkeypatch):
+        spec, est, grid = TestPredictBar._fit("periodic_sobolev-exact_gram")
+        expected = sum(predict(spec, f, grid) for f in est.fits) / est.s
+        tasks = in_parallel()
+        slice_values = dnc._slice_values
+
+        def failing(*args):
+            slice_values(*args)
+            raise RuntimeError("slice failed")
+
+        monkeypatch.setattr(dnc, "_slice_values", failing)
+        with pytest.raises(RuntimeError, match="slice failed"):
+            predict_bar(est, grid)
+        assert tasks
+        monkeypatch.setattr(dnc, "_slice_values", slice_values)
+        assert np.array_equal(predict_bar(est, grid), expected)
+
+    def test_concurrent_callers_share_one_pool_and_keep_their_bits(self, in_parallel, monkeypatch):
+        # more callers than cores, switching threads often, race to create
+        # the pool (whose constructor is slowed to widen the race) and share
+        # it: one pool is made and every result is exact
+        spec, est, grid = TestPredictBar._fit("periodic_sobolev-exact_gram")
+        expected = predict_bar(est, grid)
+        tasks = in_parallel()
+        made = []
+
+        class Counting(dnc.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                time.sleep(0.01)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(dnc, "ThreadPoolExecutor", Counting)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as callers:
+                results = list(callers.map(lambda _: predict_bar(est, grid), range(32)))
+        finally:
+            sys.setswitchinterval(switch)
+            for pool in made:
+                pool.shutdown()
+        assert len(made) == 1 and len(tasks) >= 32
+        assert all(np.array_equal(r, expected) for r in results)
+
+    def test_a_forked_child_runs_its_own_pool(self, in_parallel):
+        # the child's copy of the parent's pool has no threads; without a
+        # fresh one its first parallel predict_bar would wait forever
+        spec, est, grid = TestPredictBar._fit("periodic_sobolev-exact_gram")
+        in_parallel()
+        expected = predict_bar(est, grid)
+        assert dnc._POOL is not None
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_fork_child, args=(est, grid, send))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(60), "the forked child sent no values within 60 s"
+            values = np.frombuffer(receive.recv(), dtype=np.float64)
+            child.join(60)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert np.array_equal(values, expected)
 
 
 class TestXiDiagnostic:
