@@ -22,7 +22,12 @@ machines' grid products are large enough that ``predict_bar`` runs them on
 several threads (``spline1d`` at ``N = 4096, rho = 0.75`` with an explicit
 ``lambda`` of 3.95e-7, 512 machines of 8 points on a 512-point grid, and
 plug-in ``additive2d`` at ``N = 2048, rho = 0.6``, 97 machines of 21 points
-on the 64 x 64 grid); ``diagnose`` with no config,
+on the 64 x 64 grid); three ``spline1d`` cells whose blocks hold one machine
+(``n > 256``), so that ``fit_all`` runs them on several threads on one
+worker (``N = 16384, rho = 0.2``, 7 machines of 2340 points, and a plug-in
+``exact_gram`` cell at ``N = 4096, rho = 0.2``, 5 machines of 819 points),
+and the first on 2 workers, which fit the machines in turn; ``diagnose``
+with no config,
 with each family by name (with the ``xi`` diagnostic where the family has
 eigenfunctions), with the thin plate at ``d = 2, M = 2048``, with the
 additive family at ``d = 2`` on an ``xi`` partition that drops rows (``s``
@@ -126,6 +131,14 @@ def cases() -> dict[str, tuple[str, dict]]:
     out["additive2d-N2048-rho0.6-plugin-exact_gram"] = ("sweep", dict(
         N_list=[2048], model="additive2d", rho_list=[0.6], replications=2,
         sigma2={"mode": "plugin"}, solve_path="exact_gram"))
+    # cells of one machine a block (n > 256), an odd count of blocks, whose
+    # fits fit_all runs on several threads on one worker, and in turn on two
+    wide = dict(N_list=[16384], rho_list=[0.2], replications=2)
+    out["spline1d-N16384-rho0.2"] = ("sweep", wide)
+    out["spline1d-N16384-rho0.2-workers2"] = ("sweep", dict(wide, replications=4, workers=2))
+    out["spline1d-N4096-rho0.2-plugin-exact_gram"] = ("sweep", dict(
+        N_list=[4096], rho_list=[0.2], replications=2, sigma2={"mode": "plugin"},
+        solve_path="exact_gram"))
     out["diagnose-default"] = ("diagnose", {})
     for family, extra in FAMILIES.items():
         config = {"spectrum": {"family": family, **extra}}

@@ -6,9 +6,10 @@ separators, LF line endings, and 17 significant digits. Every run writes a
 effective config, the artifact version, and wall time; a sweep's also records
 ``blas_threads``, the thread count of each OpenBLAS library during its cells
 (``{}`` where none was found), and ``machine_threads``, the most threads that
-a :func:`~dckrr.dnc.predict_bar` of the process has run one estimate's
-machines on (1 where none ran them in parallel). Exit codes: 0 on success, 2
-on configuration errors, 3 on experiment failures.
+a :func:`~dckrr.dnc.fit_all` or :func:`~dckrr.dnc.predict_bar` of the
+process has run one estimate's machines on (1 where none ran them in
+parallel). Exit codes: 0 on success, 2 on configuration errors, 3 on
+experiment failures.
 
 ``simlab.SweepConfig`` is the schema of a sweep config and ``DiagnoseConfig``
 of a diagnose config: a dataclass's fields are the keys (``lambda_task`` is

@@ -15,9 +15,11 @@ the outcome of the Wald-type test. Replication ``r`` uses seed
 ``base_seed + r`` on a counter-based generator, and a sweep runs every
 OpenBLAS in the process on one thread, so results are independent of
 execution order, worker count and the host's core count. Replications run on
-``workers`` threads; under them, :func:`~dckrr.dnc.predict_bar` runs an
-estimate's machines on a pool of its own where their grid products are
-large, with the bits of running them in turn.
+``workers`` threads. On one worker, :func:`~dckrr.dnc.fit_all` and
+:func:`~dckrr.dnc.predict_bar` run an estimate's machines on a pool of
+their own where each machine's fit or grid product is large, with the bits
+of running them in turn; several workers fill the cores, and each runs its
+machines in turn.
 """
 
 from __future__ import annotations
@@ -358,7 +360,8 @@ def _one_blas_thread():
 
     NumPy's ``X.T @ X`` and SciPy's ``cho_factor`` give different bits on one
     and two threads, so one thread makes a sweep's bytes independent of the
-    host's core count; and each solve is too small to gain from more."""
+    host's core count; and each solve is too small to gain from more. The
+    libraries are looked up once per process."""
     libs = _openblas_libraries()
     before = {name: get() for name, (get, _) in libs.items()}
     try:
@@ -399,7 +402,10 @@ def _run_cell(
             return exc  # a numerical failure: recorded, not fatal
 
     if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        # the workers fill the cores, so each fits and evaluates its estimates'
+        # machines in turn
+        with ThreadPoolExecutor(max_workers=cfg.workers, initializer=dnc._MACHINES_IN_TURN.set,
+                                initargs=(True,)) as pool:
             outcomes = list(pool.map(one, seeds))
     else:
         outcomes = [one(seed) for seed in seeds]
@@ -456,8 +462,9 @@ def run_sweep(cfg: SweepConfig) -> ExperimentResult:
     each library's previous count is restored on return and on an
     exception. The counts are process-wide, so other BLAS work in the process
     meanwhile runs on one thread too. ``cfg.workers`` threads run the
-    replications, and :func:`~dckrr.dnc.predict_bar` may run an estimate's
-    machines on a pool of its own under them. The sweep runs in numpy's
+    replications; on one worker, :func:`~dckrr.dnc.fit_all` and
+    :func:`~dckrr.dnc.predict_bar` may run an estimate's machines on a pool
+    of their own, and on several they run them in turn. The sweep runs in numpy's
     default floating-point error state (underflow ignored, the rest warned
     of), whatever the caller's, as its pool threads start in that state: an
     underflow in a spectrum's or a replication's arithmetic is no failure.

@@ -32,7 +32,14 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from dckrr.spectra import Spectrum, feature_matrix, null_basis
+from dckrr.spectra import (
+    Spectrum,
+    _as_points,
+    _feature_matrix,
+    _null_basis,
+    feature_matrix,
+    null_basis,
+)
 
 __all__ = ["SOLVE_PATHS", "Dataset", "MachineFit", "krr_fit", "predict", "smoother_trace"]
 
@@ -140,19 +147,21 @@ def _fit_block(
     bits of fitting that machine alone. The ``truncated_feature`` design
     ``[null_basis, phi * sqrt(mu)]`` is one ``(b, n, q + M)`` array, whose
     trailing columns :func:`~dckrr.spectra.feature_matrix` fills in place.
+    It calls no public ``dckrr`` function, so :func:`~dckrr.dnc.fit_all` may
+    run it on a pool thread.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
     if solve_path not in SOLVE_PATHS:
         raise ValueError(f"unknown solve_path {solve_path!r}")
     b, n = ys.shape
-    pts = xs.reshape(b, n, -1)
+    pts = _as_points(xs.reshape(b, n, -1), spec.d)
     q = spec.null_dim
     fits = []
     if solve_path == "exact_gram":
-        F = feature_matrix(spec, pts)
+        F = _feature_matrix(spec, pts)
         R = _anchor_gram(spec, F)
-        T = null_basis(spec, pts)
+        T = _null_basis(spec, pts)
         for j in range(b):
             A = R[j]
             A.flat[:: n + 1] += n * lam
@@ -167,8 +176,8 @@ def _fit_block(
             fits.append(MachineFit(solve_path=solve_path, beta=beta, alpha=alpha, features=F[j]))
         return fits
     X = np.empty((b, n, q + spec.M))
-    X[..., :q] = null_basis(spec, pts)
-    psi = feature_matrix(spec, pts, out=X[..., q:])
+    X[..., :q] = _null_basis(spec, pts)
+    psi = _feature_matrix(spec, pts, out=X[..., q:])
     psi *= np.sqrt(spec.eigenvalues)
     penalized = slice(q * (q + spec.M + 1), None, q + spec.M + 1)  # A's diagonal after q
     for j in range(b):

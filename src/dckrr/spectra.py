@@ -601,9 +601,16 @@ def feature_matrix(spec: Spectrum, X: NDArray[np.float64],
     (see :func:`null_basis`). A spectrum without eigenfunctions raises
     ``ValueError`` here, and so does every evaluator built on this one.
     """
+    return _feature_matrix(spec, _as_points(X, spec.d), out)
+
+
+def _feature_matrix(spec: Spectrum, pts: NDArray[np.float64],
+                    out: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
+    """:func:`feature_matrix` at points already read by :func:`_as_points`.
+    It calls no public function, so a fit may run it on a pool thread (the
+    benchmark's tracer wraps the public ones and keeps one span stack)."""
     if spec.basis is None:
         raise ValueError(f"{spec.family} spectrum does not expose eigenfunctions")
-    pts = _as_points(X, spec.d)
     shape = pts.shape[:-1] + (spec.M,)
     if out is None:
         out = np.empty(shape)
@@ -620,7 +627,13 @@ def null_basis(spec: Spectrum, X: NDArray[np.float64]) -> NDArray[np.float64]:
     and is all of it when ``null_dim = 1``; the smoothing spline at ``m = 2``
     adds ``sqrt(12) (x - 1/2)``.
     """
-    pts, q = _as_points(X, spec.d), spec.null_dim
+    return _null_basis(spec, _as_points(X, spec.d))
+
+
+def _null_basis(spec: Spectrum, pts: NDArray[np.float64]) -> NDArray[np.float64]:
+    """:func:`null_basis` at points already read by :func:`_as_points`; like
+    :func:`_feature_matrix`, it calls no public function."""
+    q = spec.null_dim
     legendre = np.polynomial.legendre.legvander(2.0 * pts[..., 0] - 1.0, max(q - 1, 0))[..., :q]
     return legendre * np.sqrt(2.0 * np.arange(q) + 1.0)
 

@@ -1,10 +1,14 @@
 """Unit tests for the divide-and-conquer driver."""
 
+import importlib
+import inspect
 import multiprocessing
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
+import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -337,27 +341,32 @@ class TestPredictBar:
 
 @pytest.fixture
 def in_parallel(monkeypatch):
-    """A function that makes predict_bar run on a fresh pool of at least two
-    threads, with the gate at ``gate`` multiply-adds (by default every
-    exact_gram one passes it) and the BLAS taken to be on one thread. It
-    returns the list each pool task appends its thread and NumPy error state
-    to. The pool is shut down after the test."""
+    """A function that makes predict_bar and fit_all run on a fresh pool of
+    at least two threads, with predict_bar's gate at ``gate`` multiply-adds
+    (by default every exact_gram one passes it) and the BLAS taken to be on
+    one thread; fit_all keeps its own gate, blocks of one machine. Unless
+    ``take_back``, a caller cannot cancel a pool call it has reached, so
+    every call handed to the pool runs there, however late the pool starts
+    it. It returns the list each pool task appends its thread and NumPy
+    error state to. The pool is shut down after the test."""
     made = []
 
-    def start(gate=0):
+    def start(gate=0, take_back=False):
         tasks = []
         cpus = max(2, dnc._cpus())
-        slice_values = dnc._slice_values
+        pool_call = dnc._pool_call
 
         def recording(*args):
             tasks.append((threading.current_thread(), np.geterr()))
-            return slice_values(*args)
+            return pool_call(*args)
 
         monkeypatch.setattr(dnc, "_POOL", None)
         monkeypatch.setattr(dnc, "_cpus", lambda: cpus)
         monkeypatch.setattr(dnc, "_PARALLEL_MADDS", gate)
         monkeypatch.setattr(dnc, "_blas_on_one_thread", lambda: True)
-        monkeypatch.setattr(dnc, "_slice_values", recording)
+        monkeypatch.setattr(dnc, "_pool_call", recording)
+        if not take_back:
+            monkeypatch.setattr(Future, "cancel", lambda self: False)
         made.append(True)
         return tasks
 
@@ -434,7 +443,7 @@ class TestMachinePool:
             for name, (_, put) in libs.items():
                 put(before[name])
         # and never with another BLAS, whose thread count is unknown
-        monkeypatch.setattr(dnc, "_openblas_thread_getters", lambda: ())
+        monkeypatch.setattr(dnc, "_openblas_libraries", lambda: {})
         assert not dnc._blas_on_one_thread()
 
     def test_a_pool_task_sees_the_callers_error_state(self, in_parallel):
@@ -452,17 +461,17 @@ class TestMachinePool:
         spec, est, grid = TestPredictBar._fit("periodic_sobolev-exact_gram")
         expected = sum(predict(spec, f, grid) for f in est.fits) / est.s
         tasks = in_parallel()
-        slice_values = dnc._slice_values
+        pool_call = dnc._pool_call
 
         def failing(*args):
-            slice_values(*args)
+            pool_call(*args)
             raise RuntimeError("slice failed")
 
-        monkeypatch.setattr(dnc, "_slice_values", failing)
+        monkeypatch.setattr(dnc, "_pool_call", failing)
         with pytest.raises(RuntimeError, match="slice failed"):
             predict_bar(est, grid)
         assert tasks
-        monkeypatch.setattr(dnc, "_slice_values", slice_values)
+        monkeypatch.setattr(dnc, "_pool_call", pool_call)
         assert np.array_equal(predict_bar(est, grid), expected)
 
     def test_concurrent_callers_share_one_pool_and_keep_their_bits(self, in_parallel, monkeypatch):
@@ -515,6 +524,241 @@ class TestMachinePool:
                 child.kill()
                 child.join()
         assert np.array_equal(values, expected)
+
+
+def _wide_machines(s, n, seed=0, constant=()):
+    """``s`` machines of ``n`` points, machine ``j`` rows ``j n .. (j + 1) n - 1``
+    of the sample; the machines in ``constant`` have every point at x = 1/2,
+    where the spline's null function sqrt(12) (x - 1/2) vanishes, so their
+    systems are singular."""
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(size=(s, n))
+    xs[list(constant)] = 0.5
+    data = Dataset(xs=xs.reshape(-1), ys=rng.standard_normal(s * n))
+    return data, Partition(assignment=np.arange(s * n).reshape(s, n))
+
+
+DCKRR_MODULES = ("spectra", "solver", "dnc", "inference", "rates", "simlab", "cli")
+
+
+def _public_function_calls(monkeypatch):
+    """Wrap every public function of the ``dckrr`` modules in every module
+    namespace that binds it, as the benchmark's tracer does, and return the
+    list each call appends its name and thread to."""
+    modules = [importlib.import_module(f"dckrr.{name}") for name in DCKRR_MODULES]
+    calls, wrappers = [], {}
+
+    def wrap(name, fn):
+        def recording(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return recording
+
+    for mod in modules:
+        for attr, obj in vars(mod).items():
+            if (not attr.startswith("_") and inspect.isfunction(obj)
+                    and obj.__module__ == mod.__name__):
+                wrappers[obj] = wrap(f"{mod.__name__}.{attr}", obj)
+    for mod in (importlib.import_module("dckrr"), *modules):
+        for attr, obj in list(vars(mod).items()):
+            if inspect.isfunction(obj) and obj in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[obj])
+    return calls
+
+
+class TestFitAllPool:
+    # five machines of 300 points: blocks of one machine (n > _BLOCK_ROWS //
+    # 2), an odd count of them, so with two threads the last round is the
+    # caller's alone and two blocks run on the pool
+    S, ROWS = 5, dnc._BLOCK_ROWS // 2 + 44
+
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    @pytest.mark.parametrize("make_spec", [
+        lambda: smoothing_spline(2, M=48), lambda: periodic_sobolev(2, M=48),
+    ], ids=["spline", "periodic"])
+    def test_on_the_pool_every_fit_equals_the_serial_one(self, make_spec, path, in_parallel,
+                                                         monkeypatch):
+        spec = make_spec()
+        data, part = _wide_machines(self.S, self.ROWS, seed=3)
+        with monkeypatch.context() as m:
+            m.setattr(dnc, "_blas_on_one_thread", lambda: False)
+            serial = fit_all(spec, data, part, lam=1e-4, solve_path=path)
+        tasks = in_parallel()
+        parallel = fit_all(spec, data, part, lam=1e-4, solve_path=path)
+        assert len(tasks) == self.S // 2
+        assert all(thread is not threading.main_thread() for thread, _ in tasks)
+        assert np.array_equal(parallel.beta, serial.beta)
+        assert np.array_equal(parallel.coeffs, serial.coeffs)
+        for a, b in zip(parallel.fits, serial.fits, strict=True):
+            for name in ("beta", "alpha", "theta", "features"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x is None) == (y is None), name
+                assert x is None or np.array_equal(x, y), name
+
+    def test_runs_serially_below_the_gate_with_threaded_blas_or_one_cpu(self, in_parallel,
+                                                                         monkeypatch):
+        spec = smoothing_spline(2, M=48)
+        tasks = in_parallel()
+        small = _wide_machines(4 * self.S, dnc._BLOCK_ROWS // 2, seed=4)  # blocks of two
+        one_block = _wide_machines(1, self.ROWS, seed=4)
+        wide = _wide_machines(self.S, self.ROWS, seed=4)
+        for data, part in (small, one_block):
+            fit_all(spec, data, part, lam=1e-4, solve_path="truncated_feature")
+        assert not tasks
+        expected = fit_all(spec, *wide, lam=1e-4, solve_path="truncated_feature")
+        ran = len(tasks)
+        assert ran
+        with monkeypatch.context() as m:
+            m.setattr(dnc, "_blas_on_one_thread", lambda: False)
+            est = fit_all(spec, *wide, lam=1e-4, solve_path="truncated_feature")
+            assert np.array_equal(est.coeffs, expected.coeffs)
+        with monkeypatch.context() as m:
+            m.setattr(dnc, "_POOL", None)
+            m.setattr(dnc, "_cpus", lambda: 1)
+            est = fit_all(spec, *wide, lam=1e-4, solve_path="truncated_feature")
+            assert np.array_equal(est.coeffs, expected.coeffs)
+            assert dnc._POOL is None
+        assert len(tasks) == ran
+
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    @pytest.mark.parametrize("bad, first_on_pool", [((0, 1), False), ((1, 2), True)],
+                             ids=["caller-first", "pool-first"])
+    def test_raises_the_first_failure_in_machine_order(self, bad, first_on_pool, path,
+                                                       in_parallel, monkeypatch):
+        # with two threads, machines 0, 2, 4 are fitted on the caller and 1, 3
+        # on the pool; machines 0 and 1 fail at once, 1 and 2 in turn
+        spec = smoothing_spline(2, M=48)
+        data, part = _wide_machines(self.S, self.ROWS, seed=5, constant=bad)
+        with monkeypatch.context() as m:
+            m.setattr(dnc, "_blas_on_one_thread", lambda: False)
+            with pytest.raises(np.linalg.LinAlgError) as serial:
+                fit_all(spec, data, part, lam=1e-4, solve_path=path)
+        tasks = in_parallel()
+        with pytest.raises(np.linalg.LinAlgError) as parallel:
+            fit_all(spec, data, part, lam=1e-4, solve_path=path)
+        assert tasks
+        assert str(parallel.value) == str(serial.value)
+        frames = {frame.name for frame in traceback.extract_tb(parallel.tb)}
+        assert ("_pool_call" in frames) == first_on_pool
+
+    def test_a_sweep_counts_and_reports_failures_as_in_serial(self, in_parallel, monkeypatch):
+        # 4 machines of 300 points; a replication whose points all sit at
+        # x = 1/2 fails in every machine
+        generate = simlab.generate
+
+        def degenerate_at(failing):
+            def gen(model, N, seed, c):
+                data = generate(model, N, seed, c)
+                return Dataset(xs=np.full(N, 0.5), ys=data.ys) if seed in failing else data
+            return gen
+
+        def sweep(failing):
+            monkeypatch.setattr(simlab, "generate", degenerate_at(failing))
+            cfg = simlab.SweepConfig(N_list=(1200,), rho_list=(0.2,), replications=10)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    cell = simlab.run_sweep(cfg).cells[0]
+                except simlab.SweepError as exc:
+                    return str(exc), str(exc.__cause__), []
+            return cell.failures, cell.mse_mean, [str(w.message) for w in caught]
+
+        with monkeypatch.context() as m:
+            m.setattr(dnc, "_blas_on_one_thread", lambda: False)
+            serial = [sweep({3}), sweep({3, 7})]
+        tasks = in_parallel()
+        assert [sweep({3}), sweep({3, 7})] == serial
+        assert tasks
+        assert serial[0][0] == 1 and "1 replications failed" in serial[0][2][0]
+        assert "2/10 replications failed" in serial[1][0]
+
+    def test_a_sweep_on_several_workers_runs_its_machines_in_turn(self, in_parallel):
+        # the workers fill the cores: neither fit_all (4 machines of 300
+        # points) nor predict_bar uses the pool under them, and the cells are
+        # the one-worker sweep's
+        tasks = in_parallel()
+        cells = {}
+        for workers in (2, 1):
+            cfg = simlab.SweepConfig(N_list=(1200,), rho_list=(0.2,), replications=4,
+                                     workers=workers, solve_path="exact_gram")
+            cells[workers] = simlab.run_sweep(cfg).cells
+            assert bool(tasks) == (workers == 1)
+        assert cells[2] == cells[1]
+        assert not dnc._MACHINES_IN_TURN.get()
+
+    def test_concurrent_callers_keep_their_fits(self, in_parallel):
+        # more callers than cores, switching threads often, share the pool
+        # and take back the calls it has not started; every estimate has the
+        # serial bits
+        spec = smoothing_spline(2, M=48)
+        data, part = _wide_machines(self.S, self.ROWS, seed=7)
+        expected = fit_all(spec, data, part, lam=1e-4, solve_path="truncated_feature")
+        tasks = in_parallel(take_back=True)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as callers:
+                results = list(callers.map(
+                    lambda _: fit_all(spec, data, part, lam=1e-4, solve_path="truncated_feature"),
+                    range(16)))
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(tasks) <= 16 * (self.S // 2)
+        for est in results:
+            assert np.array_equal(est.coeffs, expected.coeffs)
+            assert np.array_equal(est.beta, expected.beta)
+
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    def test_a_caller_runs_the_calls_the_pool_has_not_started(self, path, in_parallel):
+        # the pool's one thread is held, so each of more callers than pool
+        # threads takes back every call it handed to the pool and runs it
+        # itself, in order: the fits, the grid values and the first failure
+        # are the serial ones, and no call waits on the pool
+        spec = smoothing_spline(2, M=48)
+        data, part = _wide_machines(self.S, self.ROWS, seed=8)
+        bad = _wide_machines(self.S, self.ROWS, seed=8, constant=(1, 3))
+        grid = simlab._eval_grid(1, 512)
+        expected = fit_all(spec, data, part, lam=1e-4, solve_path=path)
+        values = predict_bar(expected, grid)
+        with pytest.raises(np.linalg.LinAlgError) as serial:
+            fit_all(spec, *bad, lam=1e-4, solve_path=path)
+        tasks = in_parallel(take_back=True)
+        release = threading.Event()
+        held = dnc._pool().submit(release.wait, 30)  # a caller that waited fails, not hangs
+        assert dnc._threads(dnc._POOL) == 2
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                results = list(callers.map(
+                    lambda _: fit_all(spec, data, part, lam=1e-4, solve_path=path), range(8)))
+            assert all(np.array_equal(predict_bar(est, grid), values) for est in results)
+            with pytest.raises(np.linalg.LinAlgError) as parallel:
+                fit_all(spec, *bad, lam=1e-4, solve_path=path)
+            assert not held.done()
+        finally:
+            release.set()
+        held.result()
+        assert not tasks
+        assert str(parallel.value) == str(serial.value)
+        for est in results:
+            assert np.array_equal(est.coeffs, expected.coeffs)
+            assert np.array_equal(est.beta, expected.beta)
+
+    def test_a_pool_task_calls_no_public_function(self, in_parallel, monkeypatch):
+        # the benchmark's tracer wraps each public function and keeps one
+        # span stack for all threads: a pool task that reached one would
+        # corrupt it
+        spec = smoothing_spline(2, M=340)
+        data, part = _wide_machines(self.S, self.ROWS, seed=6)
+        tasks = in_parallel()
+        calls = _public_function_calls(monkeypatch)
+        for path in SOLVE_PATHS:
+            est = dnc.fit_all(spec, data, part, lam=1e-4, solve_path=path)
+            dnc.predict_bar(est, simlab._eval_grid(1, 512))
+        # two pool blocks per fit_all, and predict_bar's second slice of
+        # exact_gram machines
+        assert len(tasks) == 2 * (self.S // 2) + 1
+        assert {"dckrr.dnc.fit_all", "dckrr.dnc.predict_bar"} <= {name for name, _ in calls}
+        assert {thread for _, thread in calls} == {threading.main_thread()}
 
 
 class TestXiDiagnostic:

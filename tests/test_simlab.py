@@ -411,22 +411,24 @@ class TestBlasThreads:
 
 
 def test_additive_plugin_replication_evaluates_each_basis_once(monkeypatch):
-    # one feature_matrix per block of machines in fit_all, whose fits keep it
-    # for their coefficients, predictions and residuals, and one at the MSE grid
+    # one basis evaluation per block of machines in fit_all, whose fits keep
+    # it for their coefficients, predictions and residuals, and one at the
+    # MSE grid; every evaluation, feature_matrix's included, passes through
+    # spectra._feature_matrix, which the fits call directly
     cfg = SweepConfig(model="additive2d", N_list=(512,), rho_list=(0.4,), replications=1,
                       sigma2_mode="plugin", solve_path="exact_gram", lambda_task="estimation")
     s = max(1, math.floor(512**0.4 + 0.5))
     lam = simlab._cell_lambda(cfg, 512 // s)
     spec = spectra.spectrum_for(cfg.family, cfg.m, cfg.d, lam)
-    calls, real = [], spectra.feature_matrix
+    calls, real = [], spectra._feature_matrix
 
-    def counting(spec_, X):
-        calls.append(np.shape(X))
-        return real(spec_, X)
+    def counting(spec_, pts, out=None):
+        calls.append(np.shape(pts))
+        return real(spec_, pts, out)
 
     for module in (spectra, solver, dnc, inference):
-        if hasattr(module, "feature_matrix"):
-            monkeypatch.setattr(module, "feature_matrix", counting)
+        if hasattr(module, "_feature_matrix"):
+            monkeypatch.setattr(module, "_feature_matrix", counting)
     simlab._run_replication(cfg, 512, s, lam, spec, seed=0)
     blocks = math.ceil(s / max(1, dnc._BLOCK_ROWS // (512 // s)))
     assert len(calls) == blocks + 1
