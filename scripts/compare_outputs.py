@@ -26,7 +26,11 @@ on the 64 x 64 grid); three ``spline1d`` cells whose blocks hold one machine
 (``n > 256``), so that ``fit_all`` runs them on several threads on one
 worker (``N = 16384, rho = 0.2``, 7 machines of 2340 points, and a plug-in
 ``exact_gram`` cell at ``N = 4096, rho = 0.2``, 5 machines of 819 points),
-and the first on 2 workers, which fit the machines in turn; ``diagnose``
+and the first on 2 workers, which fit the machines in turn; two
+``truncated_feature`` ``spline1d`` cells whose blocks fit their machines as
+stacks (``N = 4096, rho = 0.7``, 338 machines of 12 points, whose last block
+is ragged, and ``N = 4096, rho = 0.75`` with the explicit ``lambda`` of
+3.95e-7, ``M = 340``, whose normal matrices pass the stack bound); ``diagnose``
 with no config,
 with each family by name (with the ``xi`` diagnostic where the family has
 eigenfunctions), with the thin plate at ``d = 2, M = 2048``, with the
@@ -139,6 +143,13 @@ def cases() -> dict[str, tuple[str, dict]]:
     out["spline1d-N4096-rho0.2-plugin-exact_gram"] = ("sweep", dict(
         N_list=[4096], rho_list=[0.2], replications=2, sigma2={"mode": "plugin"},
         solve_path="exact_gram"))
+    # truncated_feature blocks whose machines fit as stacks: a ragged last
+    # block, and normal matrices past the stack bound (one machine a stack)
+    out["spline1d-N4096-rho0.7"] = ("sweep", dict(
+        N_list=[4096], rho_list=[0.7], replications=2, solve_path="truncated_feature"))
+    out["spline1d-N4096-rho0.75-explicit-lambda-truncated_feature"] = ("sweep", dict(
+        N_list=[4096], rho_list=[0.75], replications=2, solve_path="truncated_feature",
+        **{"lambda": {"source": "explicit", "value": 3.95e-7}}))
     out["diagnose-default"] = ("diagnose", {})
     for family, extra in FAMILIES.items():
         config = {"spectrum": {"family": family, **extra}}

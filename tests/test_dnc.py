@@ -114,6 +114,18 @@ class TestFitAll:
             est.beta, np.stack([f.beta for f in est.fits]).mean(axis=0), rtol=0, atol=1e-14
         )
 
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    def test_averages_are_ordered_folds_from_zeros(self, path):
+        # 40 machines and a null space of one function: NumPy's add.reduce
+        # would sum that single column pairwise, not in machine order
+        data = _dataset(40 * 12, seed=2)
+        spec = periodic_sobolev(2, M=16)
+        est = fit_all(spec, data, partition(data, 40, seed=1), lam=1e-3, solve_path=path)
+        assert spec.null_dim == 1
+        assert np.array_equal(est.beta, sum((f.beta for f in est.fits), np.zeros(1)) / est.s)
+        coeffs = sum((f.mercer_coeffs(spec) for f in est.fits), np.zeros(spec.M)) / est.s
+        assert np.array_equal(est.coeffs, coeffs)
+
     def test_predict_bar_is_mean_of_predictions(self):
         data = _dataset(80)
         spec = periodic_sobolev(2, M=32)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,16 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dckrr import solver
 from dckrr.solver import (
     Dataset,
     MachineFit,
     _fit_block,
     _solve_spd,
+    _solve_sym,
+    _values,
     krr_fit,
     predict,
     smoother_trace,
 )
 from dckrr.spectra import (
+    additive,
     feature_matrix,
     gaussian_rkhs,
     gram_R,
@@ -197,6 +202,112 @@ class TestBlockDesign:
             tracemalloc.stop()
         design = n * (spec.null_dim + spec.M) * 8
         assert peak < 1.5 * design
+
+    def test_a_block_stacks_its_normal_matrices_within_the_bound(self):
+        # 64 machines at q + M = 342 (a 1.4 MB design, 0.94 MB normal
+        # matrices) form their normal matrices one at a time, and peaked at
+        # 3.7 MB; in stacks of 4 machines they peaked at 6.5 MB, and in one
+        # stack of 64 at 63 MB
+        b, n, spec = 64, 8, smoothing_spline(2, M=340)
+        rng = np.random.default_rng(8)
+        xs, ys = rng.uniform(size=(b, n)), rng.standard_normal((b, n))
+        _fit_block(spec, xs, ys, 1e-6, "truncated_feature")  # the cached beam coefficients
+        p = spec.null_dim + spec.M
+        assert solver._NORMAL_STACK_VALUES < 2 * p * p  # one machine a stack
+        tracemalloc.start()
+        try:
+            _fit_block(spec, xs, ys, 1e-6, "truncated_feature")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        design, normal = b * n * p * 8, p * p * 8
+        assert peak < design + 3 * normal
+
+
+def _kkt_systems(spec, xs, lam):
+    """The exact_gram KKT systems of a block, built as a loop over the
+    machines would, each with ``np.block``: ``[[R_n + n lam I, T], [T', 0]]``."""
+    b, n = xs.shape[:2]
+    q = spec.null_dim
+    systems = []
+    for j in range(b):
+        F = feature_matrix(spec, xs[j])
+        A = (F * spec.eigenvalues) @ F.T
+        A.flat[:: n + 1] += n * lam
+        T = null_basis(spec, xs[j])
+        systems.append(np.block([[A, T], [T.T, np.zeros((q, q))]]))
+    return np.array(systems)
+
+
+class TestSymmetricSolve:
+    """``_solve_sym`` makes ``scipy.linalg.solve(assume_a="sym")``'s LAPACK
+    calls itself; SciPy solves the systems it would refuse or warn of."""
+
+    @pytest.mark.parametrize("make_spec, b, n, d, lam", [
+        (lambda: smoothing_spline(2, M=64), 40, 8, 1, 3.95e-7),
+        (lambda: additive(2, 2, M=200), 5, 97, 2, 1e-4),
+    ], ids=["spline-n8-q2", "additive-n97-q1"])
+    def test_equals_scipy_solve(self, make_spec, b, n, d, lam):
+        # the KKT systems of the exact_gram path, whose grams a gemm made, so
+        # not symmetric in their last bits: both read the upper triangle
+        spec = make_spec()
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(size=(b, n, d))
+        K = _kkt_systems(spec, xs if d > 1 else xs[..., 0], lam)
+        assert not np.array_equal(K, np.swapaxes(K, 1, 2))
+        rhs = np.concatenate([rng.standard_normal((b, n)), np.zeros((b, spec.null_dim))], axis=1)
+        sols = _solve_sym(K, rhs)
+        for j in range(b):
+            ref = scipy.linalg.solve(K[j], rhs[j], assume_a="sym", check_finite=False)
+            assert np.array_equal(sols[j], ref)
+
+    def test_reads_the_upper_triangle_only(self):
+        rng = np.random.default_rng(3)
+        K = rng.standard_normal((2, 6, 6))
+        rhs = rng.standard_normal((2, 6))
+        scrambled = K + np.tril(rng.standard_normal((6, 6)), -1)
+        assert np.array_equal(_solve_sym(scrambled, rhs), _solve_sym(K, rhs))
+
+    def test_a_singular_system_raises_scipys_error(self):
+        K = np.array([[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]])
+        rhs = np.ones((2, 2))
+        with pytest.raises(np.linalg.LinAlgError) as ref:
+            scipy.linalg.solve(K[1], rhs[1], assume_a="sym", check_finite=False)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            _solve_sym(K, rhs)
+        assert str(got.value) == str(ref.value)
+
+    def test_an_ill_conditioned_system_gives_scipys_warning(self):
+        K = np.array([np.eye(3), np.diag([1.0, 1e-17, 1.0])])
+        rhs = np.ones((2, 3))
+        with warnings.catch_warnings(record=True) as ref:
+            warnings.simplefilter("always")
+            expected = scipy.linalg.solve(K[1], rhs[1], assume_a="sym", check_finite=False)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            sols = _solve_sym(K, rhs)
+        assert [(w.category, str(w.message)) for w in got] == [
+            (w.category, str(w.message)) for w in ref]
+        assert ref and issubclass(ref[0].category, scipy.linalg.LinAlgWarning)
+        assert np.array_equal(sols[1], expected)
+
+
+class TestStackedValues:
+    """``_values`` evaluates ``truncated_feature`` fits in stacks; each value
+    has the bits of ``null @ beta + F @ theta`` for that fit alone."""
+
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_equal_the_2d_products(self, q):
+        rng = np.random.default_rng(q)
+        G, M = 512, 64
+        k = 2 * (solver._VALUE_STACK_VALUES // G) + 5  # a ragged last stack
+        null, F = rng.standard_normal((G, q)), rng.standard_normal((G, M))
+        fits = [MachineFit("truncated_feature", beta=rng.standard_normal(q),
+                           theta=rng.standard_normal(M)) for _ in range(k)]
+        values = list(_values(fits, null, F))
+        assert len(values) == k
+        for v, fit in zip(values, fits):
+            assert np.array_equal(v, null @ fit.beta + F @ fit.theta)
 
 
 class TestMercerCoefficients:
